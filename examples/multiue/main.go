@@ -4,8 +4,11 @@
 // load-coupled interference), comparing proportional-fair against
 // round-robin scheduling. PF trades a little fairness for cell goodput by
 // riding each UE's channel peaks; RR hands every backlogged UE the same
-// slot share regardless of channel quality. See docs/SIMULATION-MODEL.md
-// for how the model maps to the paper.
+// slot share regardless of channel quality. Cell.Step is the same
+// structure-of-arrays stepper that the campaign's multi-UE arm
+// (cmd/campaign -ues-per-cell) runs at population scale, so six UEs here
+// and 64 there exercise one engine. See docs/SIMULATION-MODEL.md for how
+// the model maps to the paper.
 package main
 
 import (

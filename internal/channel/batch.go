@@ -7,13 +7,14 @@ import (
 	"github.com/midband5g/midband/internal/obs"
 )
 
-// This file is the structure-of-arrays batch stepper behind the multi-UE
-// cell engine: N adopted channels advance one slot per call as tight loops
-// over parallel slices, with every per-slot constant (AR(1) kernel factors,
-// fading sigmas, static-geometry RSRP and noise terms) hoisted into the
-// batch at adoption time. The batch produces only what the contention
-// scheduler consumes — SINR and outage — so the RSRQ conversion and the
-// full Sample construction are skipped entirely on the fast path.
+// This file is the structure-of-arrays batch stepper behind gnb.Cell,
+// which adopts every UE channel into one Batch: N adopted channels
+// advance one slot per call as tight loops over parallel slices, with
+// every per-slot constant (AR(1) kernel factors, fading sigmas,
+// static-geometry RSRP and noise terms) hoisted into the batch at
+// adoption time. The batch produces only what the cell's schedulers
+// consume — SINR and outage — so the RSRQ conversion and the full Sample
+// construction are skipped entirely on the fast path.
 //
 // Determinism contract: a batch-stepped channel produces bit-identical
 // SINR samples, in draw-for-draw identical RNG order, to the same channel
@@ -25,9 +26,9 @@ import (
 
 // Batch advances several Channels one slot per call. It adopts the
 // channels passed to NewBatch: their mutable fading state moves into the
-// batch's SoA slices, and they must not be stepped directly (or have
-// their load retuned) except through the Batch until Detach is called.
-// Not safe for concurrent use.
+// batch's SoA slices, so from then on they must be stepped (and have
+// their load retuned) only through the Batch. Not safe for concurrent
+// use.
 type Batch struct {
 	chs []*Channel
 
@@ -63,7 +64,7 @@ func batchFastLane(c *Channel) bool {
 // NewBatch adopts the given channels into a batch stepper. The channels
 // keep their identities (seeds, RNG streams, configs); the batch only
 // relocates their mutable fading state. Adopted channels must not be
-// stepped directly until Detach returns them.
+// stepped directly afterwards.
 func NewBatch(chs []*Channel) (*Batch, error) {
 	if len(chs) == 0 {
 		return nil, fmt.Errorf("channel: batch needs at least one channel")
@@ -186,17 +187,4 @@ func (b *Batch) SetNeighborLoad(load float64) {
 		c.SetNeighborLoad(load)
 		b.dataDBm[i] = c.geoDataDBm
 	}
-}
-
-// Detach writes the SoA fading state back into the adopted channels and
-// returns them, so they can be stepped directly again (e.g. to continue a
-// session on the scalar path). The batch must not be stepped afterwards.
-func (b *Batch) Detach() []*Channel {
-	for _, i := range b.fast {
-		c := b.chs[i]
-		c.shadowDB = b.shadow[i]
-		c.fastDB = b.fastf[i]
-		c.slowDB = b.slowf[i]
-	}
-	return b.chs
 }

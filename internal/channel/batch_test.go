@@ -139,36 +139,6 @@ func TestBatchFallbackLanes(t *testing.T) {
 	}
 }
 
-// TestBatchDetach checks that Detach hands the fading state back so the
-// channels can continue on the scalar path exactly where the batch left
-// them.
-func TestBatchDetach(t *testing.T) {
-	cfg := batchTestConfig(21)
-	ref, ad := mustPair(t, cfg)
-	b, err := NewBatch([]*Channel{ad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinr := make([]float64, 1)
-	outage := make([]bool, 1)
-	for slot := 0; slot < 10_000; slot++ {
-		b.StepInto(sinr, outage)
-		ref.Step()
-	}
-	chs := b.Detach()
-	if chs[0].Slot() != ref.Slot() {
-		t.Fatalf("detached slot %d, reference %d", chs[0].Slot(), ref.Slot())
-	}
-	for slot := 0; slot < 10_000; slot++ {
-		got := chs[0].Step()
-		want := ref.Step()
-		if math.Float64bits(want.SINRdB) != math.Float64bits(got.SINRdB) {
-			t.Fatalf("post-detach slot %d: SINR bits %x, want %x",
-				slot, math.Float64bits(got.SINRdB), math.Float64bits(want.SINRdB))
-		}
-	}
-}
-
 // TestBatchStepAllocs pins the SoA loop at zero allocations per slot.
 func TestBatchStepAllocs(t *testing.T) {
 	var chs []*Channel

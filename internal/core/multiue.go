@@ -116,21 +116,13 @@ func RunMultiUEContext(ctx context.Context, cfg MultiUEConfig) ([]MultiUEReport,
 				if err != nil {
 					return MultiUEReport{}, fmt.Errorf("core: %s: %w", op.Acronym, err)
 				}
-				scalar, err := gnb.NewCell(gnb.CellConfig{
+				cell, err := gnb.NewCell(gnb.CellConfig{
 					Carrier: cc,
 					UEs:     UEPositions(seed, n),
 					Policy:  cfg.Policy,
 					Model:   gnb.CellModelContention,
 					Seed:    seed,
 				})
-				if err != nil {
-					return MultiUEReport{}, fmt.Errorf("core: %s: %w", op.Acronym, err)
-				}
-				// Population-scale stepping goes through the SoA batch
-				// engine; it is bit-identical to scalar Cell.Step (the
-				// lockstep tests in internal/gnb pin that), so reports are
-				// unchanged — just cheaper per UE-slot.
-				cell, err := gnb.NewCellBatch(scalar)
 				if err != nil {
 					return MultiUEReport{}, fmt.Errorf("core: %s: %w", op.Acronym, err)
 				}

@@ -18,7 +18,7 @@ import (
 // At each rand.NewSource / rand.NewPCG / (*rand.Rand).Seed site the
 // seed expression must trace to one of:
 //
-//   - a fleet.SplitSeed (or fleet.SeedFor) call,
+//   - a fleet.SplitSeed call,
 //   - a config field or function parameter (the caller already derived
 //     it), or
 //   - a local variable assigned from one of the above.

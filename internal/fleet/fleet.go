@@ -5,8 +5,8 @@
 // byte-identical to a serial run:
 //
 //   - results are collected in submission order, never completion order;
-//   - randomness must be derived from the job key via [SeedFor] (or an
-//     equivalent stable formula), never from worker identity, so
+//   - randomness must be derived from the job key via [SplitSeed] (or
+//     an equivalent stable formula), never from worker identity, so
 //     workers=1 and workers=N walk identical random sequences;
 //   - panics inside a job are recovered into that job's error instead of
 //     tearing down the whole campaign.
@@ -29,7 +29,7 @@ import (
 type Job[T any] struct {
 	// Key identifies the job (operator acronym, session index, figure
 	// ID, sweep arm). Any randomness the job needs must be derived from
-	// the key and the campaign base seed — see SeedFor — so results do
+	// the key and the campaign base seed — see SplitSeed — so results do
 	// not depend on which worker ran the job or when.
 	Key string
 	// Run executes the job. The context is cancelled when the pool

@@ -19,7 +19,7 @@ func jobN(n int, base int64) []Job[float64] {
 		jobs[i] = Job[float64]{
 			Key: key,
 			Run: func(context.Context) (float64, error) {
-				rng := rand.New(rand.NewSource(SeedFor(base, key)))
+				rng := rand.New(rand.NewSource(SplitSeed(base, key, 0)))
 				s := 0.0
 				for k := 0; k < 100; k++ {
 					s += rng.Float64()
@@ -217,27 +217,38 @@ func TestRunEmptyAndDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestSeedForStableAndKeySensitive(t *testing.T) {
-	if SeedFor(2024, "V_Sp/0") != SeedFor(2024, "V_Sp/0") {
-		t.Error("SeedFor must be deterministic")
+func TestSplitSeedStableAndKeySensitive(t *testing.T) {
+	if SplitSeed(2024, "V_Sp", 0) != SplitSeed(2024, "V_Sp", 0) {
+		t.Error("SplitSeed must be deterministic")
 	}
 	seen := map[int64]string{}
-	for _, key := range []string{"V_Sp/0", "V_Sp/1", "V_Sp/2", "Vzw_US/0", "fig01", "fig02", ""} {
-		for _, base := range []int64{0, 1, 2024, -7} {
-			s := SeedFor(base, key)
-			id := fmt.Sprintf("%s@%d", key, base)
-			if prev, dup := seen[s]; dup {
-				t.Errorf("seed collision: %s and %s both map to %d", prev, id, s)
+	for _, domain := range []string{"V_Sp", "Vzw_US", "fig01", "fig02", "gnb/cell/ue", ""} {
+		for _, index := range []int{0, 1, 2, 10} {
+			for _, base := range []int64{0, 1, 2024, -7} {
+				s := SplitSeed(base, domain, index)
+				id := fmt.Sprintf("%s#%d@%d", domain, index, base)
+				if prev, dup := seen[s]; dup {
+					t.Errorf("seed collision: %s and %s both map to %d", prev, id, s)
+				}
+				seen[s] = id
 			}
-			seen[s] = id
 		}
 	}
 	// Worker identity must never enter the derivation: the function has
-	// no worker parameter by design; this pins the (base, key) contract.
-	if SeedFor(1, "a") == SeedFor(2, "a") {
+	// no worker parameter by design; this pins the (base, domain, index)
+	// contract.
+	if SplitSeed(1, "a", 0) == SplitSeed(2, "a", 0) {
 		t.Error("base must influence the seed")
 	}
-	if SeedFor(1, "a") == SeedFor(1, "b") {
-		t.Error("key must influence the seed")
+	if SplitSeed(1, "a", 0) == SplitSeed(1, "b", 0) {
+		t.Error("domain must influence the seed")
+	}
+	if SplitSeed(1, "a", 0) == SplitSeed(1, "a", 1) {
+		t.Error("index must influence the seed")
+	}
+	// Pinned value: every seed in the repository, and so every artifact,
+	// hangs off this derivation.
+	if got, want := SplitSeed(2024, "gnb/cell/ue", 3), int64(7975866265221783430); got != want {
+		t.Errorf("SplitSeed(2024, gnb/cell/ue, 3) = %d, want %d", got, want)
 	}
 }

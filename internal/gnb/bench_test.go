@@ -79,7 +79,7 @@ func benchUEs(n int) []channel.Point {
 // BenchmarkCellMultiUE is the contention-model slot path under
 // proportional fair — per-UE channel + CSI steps, HARQ queues,
 // integer-RB PF split, TB sizing and delivery — swept over population
-// sizes on the batched SoA engine. Each size reports ns/UE-slot, the
+// sizes on Cell.Step's structure-of-arrays engine. Each size reports ns/UE-slot, the
 // per-UE cost of one scheduled slot; the curve should bend DOWN as the
 // population grows (shared per-slot work amortizes), which is what the
 // bench gate watches.
@@ -96,15 +96,11 @@ func BenchmarkCellMultiUE(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			batch, err := NewCellBatch(cell)
-			if err != nil {
-				b.Fatal(err)
-			}
 			var sink CellSlot
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sink = batch.Step()
+				sink = cell.Step()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/UE-slot")
 			_ = sink
@@ -112,8 +108,8 @@ func BenchmarkCellMultiUE(b *testing.B) {
 	}
 }
 
-// TestCellStepAllocs pins the multi-UE scheduler's steady-state slot loop
-// at zero allocations, across all three policies.
+// TestCellStepAllocs pins the share model's steady-state slot loop at
+// zero allocations, across three policies.
 func TestCellStepAllocs(t *testing.T) {
 	for _, policy := range []SchedulerPolicy{SchedulerEqualShare, SchedulerProportionalFair, SchedulerMaxRate} {
 		t.Run(policy.String(), func(t *testing.T) {

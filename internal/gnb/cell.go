@@ -19,6 +19,15 @@ import (
 // `Share` knob is sufficient for most of the paper's experiments; the Cell
 // is the faithful version of the §5.2 multi-user experiment (Fig. 14) and
 // the substrate for scheduler ablations.
+//
+// Both scheduling models step on one structure-of-arrays engine. NewCell
+// adopts the UEs' channels into a channel.Batch, and Cell.Step runs one
+// sense pass for the whole population (batched fading, then CSI and
+// arrivals into parallel SINR/outage/CQI/rank/instSE/ready slices)
+// before the share-model or contention scheduler reads those slices. The
+// scalar contention path this engine replaced lives on in
+// cell_oracle_test.go as the reference that the lockstep and fuzz tests
+// replay against, draw for draw and bit for bit.
 
 // SchedulerPolicy selects how the cell splits RBs among backlogged UEs.
 type SchedulerPolicy uint8
@@ -29,8 +38,10 @@ const (
 	// has reduced by about 1/2").
 	SchedulerEqualShare SchedulerPolicy = iota
 	// SchedulerProportionalFair allocates each slot's RBs by the
-	// classic PF metric (instantaneous rate / smoothed served rate),
-	// splitting between the two highest-metric UEs.
+	// classic PF metric (instantaneous rate / smoothed served rate).
+	// The share model splits the slot between the two highest-metric
+	// UEs; the contention model splits integer RBs across the whole
+	// ready set in proportion to the metric.
 	SchedulerProportionalFair
 	// SchedulerMaxRate gives the whole slot to the UE with the best
 	// instantaneous spectral efficiency (throughput-optimal, unfair).
@@ -98,31 +109,18 @@ func (c CellConfig) Validate() error {
 	return c.Carrier.Validate()
 }
 
-// cellUE is the per-UE state inside a cell. The harq queue and buf are
-// used by the contention model only (see multiue.go); the share model
-// keeps them zero so its behavior — and RNG draw sequence — is
-// bit-identical to before they existed. Scalar per-UE quantities that the
-// schedulers scan every slot (OLLA offsets, PF served rates) live in the
-// Cell's structure-of-arrays slices instead, shared with the batch
-// stepper in cellbatch.go.
+// cellUE holds one UE's stateful components inside a cell. The harq queue is used by the contention model only
+// (see multiue.go); the share model keeps it nil and its buffer in
+// full-buffer mode, so its RNG draw sequence is unchanged by both.
 type cellUE struct {
-	ch   *channel.Channel
+	ch   *channel.Channel // adopted by Cell.chb: step it only through the batch
 	csi  *ue.CSI
 	rng  *rand.Rand
 	harq []harqJob
 	buf  ue.Buffer
 }
 
-// ueState is one UE's per-slot scheduling input.
-type ueState struct {
-	idx    int
-	sample channel.Sample
-	report ue.Report
-	ready  bool
-	instSE float64 // estimated instantaneous rate ∝ metric input
-}
-
-// grant is one UE's share of a slot's RBs.
+// grant is one UE's share of a slot's RBs (share model).
 type grant struct {
 	idx  int
 	frac float64
@@ -134,10 +132,12 @@ type pfScore struct {
 	metric float64
 }
 
-// Cell simulates one carrier shared by several UEs.
+// Cell simulates one carrier shared by several UEs. Not safe for
+// concurrent use.
 type Cell struct {
 	cfg  CellConfig
 	ues  []*cellUE
+	chb  *channel.Batch
 	slot int64
 
 	// Per-UE structure-of-arrays state, index-matched with ues. The
@@ -150,27 +150,47 @@ type Cell struct {
 	// population so the per-UE walks don't evict each other.
 	pow powCache
 
+	// This slot's sense pass, rewritten in full by every Step: SINR and
+	// outage from the channel batch, the CSI report in effect (CQI, RI),
+	// the estimated instantaneous spectral efficiency, and whether the UE
+	// is eligible for a fresh grant.
+	sinr   []float64
+	outage []bool
+	cqi    []phy.CQI
+	ri     []int
+	instSE []float64
+	ready  []bool
+
 	// Slot-path constants, shared by all UEs (they differ only in seeds).
 	slotDur  time.Duration
 	csiCfg   ue.CSIConfig
 	amc      amcDerived
 	tbs      *phy.TBSCache
 	dlSymTab []int // dlSymbols per TDD-period phase (length 1 for FDD)
+	// effByCQI is the CSI table's CQI→spectral-efficiency column, so the
+	// sense pass indexes a flat array instead of calling Lookup per UE
+	// per slot. Rows the table cannot look up (including CQI 0) are 0,
+	// the instSE the error path would leave.
+	effByCQI [phy.MaxCQI + 1]float64
 
 	// Per-slot scratch, reused so the steady-state loop allocates nothing.
-	states    []ueState
-	ready     []ueState
+	// order is the scheduler's working set: the UE indices eligible this
+	// slot, in grant order (ascending UE index, except that PF co-sorts
+	// it by descending metric). rb holds the contention model's integer
+	// RB shares, index-matched with order.
+	order     []int
+	rb        []int
 	grants    []grant
 	scores    []pfScore
 	servedNow []float64
 	allocs    []UEAlloc
 
-	// Contention-model state (multiue.go): round-robin cursor, smoothed
-	// RB-utilization for load coupling, and the per-slot scheduled set.
+	// Scheduler state: the round-robin cursor (both models), and the
+	// contention model's smoothed RB utilization for load coupling and
+	// per-slot retransmission set (multiue.go).
 	rr        int
 	loadEMA   float64
 	scheduled []bool
-	rbAlloc   []int
 }
 
 // UEAlloc is one UE's outcome in a slot.
@@ -202,10 +222,13 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 		cfg.PFWindowSlots = 200
 	}
 	cell := &Cell{cfg: cfg}
+	n := len(cfg.UEs)
+	cell.slotDur = cfg.Carrier.Numerology.SlotDuration()
+	chs := make([]*channel.Channel, n)
 	for i, pos := range cfg.UEs {
 		chCfg := cfg.Carrier.Channel
 		chCfg.Route = channel.Stationary(pos)
-		chCfg.SlotDuration = cfg.Carrier.Numerology.SlotDuration()
+		chCfg.SlotDuration = cell.slotDur
 		chCfg.Seed = fleet.SplitSeed(cfg.Seed, "gnb/cell/channel", i)
 		ch, err := channel.New(chCfg)
 		if err != nil {
@@ -217,21 +240,41 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gnb: cell UE %d: %w", i, err)
 		}
+		offered := 0.0
+		if cfg.Traffic != nil {
+			offered = cfg.Traffic[i].OfferedMbps
+		}
+		chs[i] = ch
 		cell.ues = append(cell.ues, &cellUE{
 			ch:  ch,
 			csi: csi,
 			rng: rand.New(rand.NewSource(fleet.SplitSeed(cfg.Seed, "gnb/cell/ue", i))),
+			buf: ue.NewBuffer(offered, cell.slotDur),
 		})
 	}
-	n := len(cell.ues)
+	chb, err := channel.NewBatch(chs)
+	if err != nil {
+		return nil, fmt.Errorf("gnb: cell: %w", err)
+	}
+	cell.chb = chb
 	cell.olla = make([]float64, n)
 	cell.served = make([]float64, n)
 	for i := range cell.served {
 		cell.served[i] = 1
 	}
 	cell.pow = newPowCache(n)
-	cell.slotDur = cfg.Carrier.Numerology.SlotDuration()
+	cell.sinr = make([]float64, n)
+	cell.outage = make([]bool, n)
+	cell.cqi = make([]phy.CQI, n)
+	cell.ri = make([]int, n)
+	cell.instSE = make([]float64, n)
+	cell.ready = make([]bool, n)
 	cell.csiCfg = cell.ues[0].csi.Config() // UEs differ only in seed
+	for q := range cell.effByCQI {
+		if row, err := cell.csiCfg.Table.Lookup(phy.CQI(q)); err == nil {
+			cell.effByCQI[q] = row.Efficiency
+		}
+	}
 	cell.amc = newAMCDerived(cell.csiCfg, cfg.Carrier)
 	cell.tbs = phy.NewTBSCache(cfg.Carrier.MCSTable, cfg.Carrier.DMRSPerPRB, 0)
 	ccfg := cfg.Carrier
@@ -247,21 +290,15 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 			}
 		}
 	}
-	cell.states = make([]ueState, 0, n)
-	cell.ready = make([]ueState, 0, n)
+	cell.order = make([]int, 0, n)
+	cell.rb = make([]int, 0, n)
 	cell.grants = make([]grant, 0, n)
 	cell.scores = make([]pfScore, 0, n)
 	cell.servedNow = make([]float64, n)
 	cell.allocs = make([]UEAlloc, 0, n)
 	if cfg.Model == CellModelContention {
 		cell.scheduled = make([]bool, n)
-		cell.rbAlloc = make([]int, 0, n)
-		for i, u := range cell.ues {
-			offered := 0.0
-			if cfg.Traffic != nil {
-				offered = cfg.Traffic[i].OfferedMbps
-			}
-			u.buf = ue.NewBuffer(offered, cell.slotDur)
+		for _, u := range cell.ues {
 			u.harq = make([]harqJob, 0, 8)
 		}
 	}
@@ -272,69 +309,99 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	return cell, nil
 }
 
-// Step advances one slot with all UEs backlogged on the downlink. The
-// returned CellSlot's Allocs slice is owned by the Cell and valid until
-// the next Step call. Under CellModelContention the slot instead runs
-// the full shared-resource loop in multiue.go (HARQ first, then fresh
-// grants, with per-UE buffers gating eligibility).
+// Step advances one slot. The returned CellSlot's Allocs slice is owned
+// by the Cell and valid until the next Step call. Under the share model
+// every UE is backlogged and the slot's RBs are split fractionally;
+// under CellModelContention the slot runs the full shared-resource loop
+// in multiue.go (HARQ first, then fresh grants, with per-UE buffers
+// gating eligibility, then load coupling).
 //
 //detlint:zeroalloc
 func (c *Cell) Step() CellSlot {
-	if c.cfg.Model == CellModelContention {
-		return c.stepContention()
-	}
 	slot := c.slot
 	c.slot++
 	res := CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
-
-	states := c.states[:0]
-	for i, u := range c.ues {
-		s := u.ch.Step()
-		u.csi.Observe(slot, s.SINRdB)
-		rep, ok := u.csi.Current()
-		st := ueState{idx: i, sample: s, report: rep, ready: ok && rep.CQI > 0 && !s.Outage}
-		if st.ready {
-			row, err := c.csiCfg.Table.Lookup(rep.CQI)
-			if err == nil {
-				st.instSE = row.Efficiency * float64(rep.RI)
-			}
-		}
-		states = append(states, st)
-	}
-	c.states = states
+	c.sense(slot)
 
 	dlSym := c.dlSymbols(slot)
 	if dlSym == 0 {
 		return res
 	}
+	contention := c.cfg.Model == CellModelContention
+	var allocs []UEAlloc
+	if contention {
+		allocs = c.scheduleContention(slot, dlSym)
+	} else if allocs = c.scheduleShare(dlSym); allocs == nil {
+		return res // nobody ready: the share model leaves the PF window as is
+	}
+	c.allocs = allocs
+	if len(allocs) > 0 {
+		res.Allocs = allocs // an empty slot keeps the nil Allocs of the old API
+	}
+	c.updatePFWindow(res.Allocs)
+	if contention {
+		c.coupleLoad(slot, res.Allocs)
+	}
+	return res
+}
 
-	// Pick the scheduled set and their RB fractions.
-	grants := c.grants[:0]
-	ready := c.ready[:0]
-	for _, st := range states {
-		if st.ready {
-			ready = append(ready, st)
+// sense advances every UE's channel through the batch, then folds the
+// fresh SINR into each UE's CSI loop and arrival process and derives the
+// per-UE scheduling inputs. Draw order per UE is channel stream, then
+// CSI stream; cross-UE order is free because every stream is
+// independent.
+//
+//detlint:zeroalloc
+func (c *Cell) sense(slot int64) {
+	c.chb.StepInto(c.sinr, c.outage)
+	for i, u := range c.ues {
+		u.csi.Observe(slot, c.sinr[i])
+		u.buf.Arrive()
+		rep, ok := u.csi.Current()
+		c.cqi[i] = rep.CQI
+		c.ri[i] = rep.RI
+		c.instSE[i] = 0
+		ready := ok && rep.CQI > 0 && !c.outage[i] && u.buf.Backlogged()
+		c.ready[i] = ready
+		if ready && rep.CQI <= phy.MaxCQI {
+			c.instSE[i] = c.effByCQI[rep.CQI] * float64(rep.RI)
 		}
 	}
-	c.ready = ready
-	if len(ready) == 0 {
-		return res
+}
+
+// scheduleShare is the share model's scheduler: it picks the scheduled
+// set and their RB fractions, then sizes one TB per grant. It returns
+// nil when no UE is ready, and otherwise a non-nil (possibly empty)
+// slice backed by c.allocs.
+//
+//detlint:zeroalloc
+func (c *Cell) scheduleShare(dlSym int) []UEAlloc {
+	order := c.order[:0]
+	for i, r := range c.ready {
+		if r {
+			order = append(order, i)
+		}
 	}
+	c.order = order
+	if len(order) == 0 {
+		return nil
+	}
+	grants := c.grants[:0]
 	switch c.cfg.Policy {
 	case SchedulerMaxRate:
-		best := ready[0]
-		for _, st := range ready[1:] {
-			if st.instSE > best.instSE {
-				best = st
+		best := order[0]
+		for _, idx := range order[1:] {
+			if c.instSE[idx] > c.instSE[best] {
+				best = idx
 			}
 		}
-		grants = append(grants, grant{best.idx, 1})
+		grants = append(grants, grant{best, 1})
 	case SchedulerRoundRobin:
 		// Whole-slot rotation over backlogged UEs (time-domain TDM).
 		n := len(c.ues)
 		for off := 0; off < n; off++ {
 			cand := (c.rr + off) % n
-			if states[cand].ready {
+			if c.ready[cand] {
 				grants = append(grants, grant{cand, 1})
 				c.rr = (cand + 1) % n
 				break
@@ -343,17 +410,7 @@ func (c *Cell) Step() CellSlot {
 	case SchedulerProportionalFair:
 		// Rank by PF metric; split the slot between the top two
 		// proportionally to their metrics.
-		ss := c.scores[:0]
-		for _, st := range ready {
-			m := st.instSE / c.served[st.idx]
-			ss = append(ss, pfScore{st.idx, m})
-		}
-		c.scores = ss
-		for i := 1; i < len(ss); i++ {
-			for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
-				ss[j], ss[j-1] = ss[j-1], ss[j]
-			}
-		}
+		ss, _ := c.rankPF(order)
 		if len(ss) == 1 {
 			grants = append(grants, grant{ss[0].idx, 1})
 		} else {
@@ -364,30 +421,49 @@ func (c *Cell) Step() CellSlot {
 			)
 		}
 	default: // equal share
-		frac := 1 / float64(len(ready))
-		for _, st := range ready {
-			grants = append(grants, grant{st.idx, frac})
+		frac := 1 / float64(len(order))
+		for _, idx := range order {
+			grants = append(grants, grant{idx, frac})
 		}
 	}
 	c.grants = grants
 
-	res.Allocs = c.allocs[:0]
+	allocs := c.allocs[:0]
 	for _, g := range grants {
-		st := &states[g.idx]
-		alloc, ok := c.transmitUE(g.idx, st.report, st.sample, dlSym, g.frac)
+		alloc, ok := c.transmitUE(g.idx, dlSym, g.frac)
 		if !ok {
 			continue
 		}
-		res.Allocs = append(res.Allocs, UEAlloc{
-			UE: g.idx, Alloc: alloc, SINRdB: st.sample.SINRdB, CQI: st.report.CQI,
+		allocs = append(allocs, UEAlloc{
+			UE: g.idx, Alloc: alloc, SINRdB: c.sinr[g.idx], CQI: c.cqi[g.idx],
 		})
 	}
-	c.allocs = res.Allocs
-	if len(res.Allocs) == 0 {
-		res.Allocs = nil // keep the no-traffic result shape of the old API
+	return allocs
+}
+
+// rankPF scores order's UEs by the PF metric (instantaneous rate over
+// window-smoothed served rate) and co-sorts the scores and order by
+// descending metric; the insertion sort is stable, so ties keep UE-index
+// order. It returns the scores and their sum, accumulated in UE-index
+// order before the sort.
+//
+//detlint:zeroalloc
+func (c *Cell) rankPF(order []int) ([]pfScore, float64) {
+	ss := c.scores[:0]
+	total := 0.0
+	for _, idx := range order {
+		m := c.instSE[idx] / c.served[idx]
+		ss = append(ss, pfScore{idx, m})
+		total += m
 	}
-	c.updatePFWindow(res.Allocs)
-	return res
+	c.scores = ss
+	for i := 1; i < len(ss); i++ {
+		for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
+			ss[j], ss[j-1] = ss[j-1], ss[j]
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return ss, total
 }
 
 // updatePFWindow folds one slot's delivered bits into every UE's
@@ -426,14 +502,16 @@ func (c *Cell) dlSymbols(slot int64) int {
 	return c.dlSymTab[slot%int64(len(c.dlSymTab))]
 }
 
-// transmitUE schedules one TB for a UE with the given RB fraction,
-// mirroring Carrier.transmit's AMC/OLLA/BLER behaviour (without HARQ —
-// multi-UE HARQ bookkeeping adds little to the Fig. 14 questions).
+// transmitUE schedules one TB for a UE with the given RB fraction at
+// this slot's sensed CQI, rank and SINR, mirroring Carrier.transmit's
+// AMC/OLLA/BLER behaviour (without HARQ — the share model's Fig. 14
+// questions need none; the contention model has it).
 //
 //detlint:zeroalloc
-func (c *Cell) transmitUE(idx int, report ue.Report, sample channel.Sample, symbols int, frac float64) (Alloc, bool) {
+func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
 	cfg := c.cfg.Carrier
 	u := c.ues[idx]
+	report := ue.Report{CQI: c.cqi[idx], RI: c.ri[idx]}
 	row, err := c.csiCfg.Table.Lookup(report.CQI)
 	if err != nil {
 		return Alloc{}, false
@@ -461,7 +539,7 @@ func (c *Cell) transmitUE(idx int, report ue.Report, sample channel.Sample, symb
 	if err != nil {
 		return Alloc{}, false
 	}
-	perLayer := sample.SINRdB - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, report.RI)
+	perLayer := c.sinr[idx] - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, report.RI)
 	ack := blerAck(u.rng.Float64(), perLayer, req)
 	if ack {
 		c.olla[idx] += 0.05 * cfg.TargetBLER / (1 - cfg.TargetBLER)
@@ -479,11 +557,11 @@ func (c *Cell) transmitUE(idx int, report ue.Report, sample channel.Sample, symb
 	}, true
 }
 
-// SlotDuration returns the cell's slot length.
 // Config returns the cell's effective configuration, with carrier and
 // PF-window defaults applied.
 func (c *Cell) Config() CellConfig { return c.cfg }
 
+// SlotDuration returns the cell's slot length.
 func (c *Cell) SlotDuration() time.Duration {
 	return c.slotDur
 }
@@ -492,6 +570,11 @@ func (c *Cell) SlotDuration() time.Duration {
 func (c *Cell) NumUEs() int {
 	return len(c.ues)
 }
+
+// FastLanes returns how many UE channels step on the batch's SoA fast
+// path; the rest (blockage, degradation episodes, fault blackouts) fall
+// back to the exact scalar channel step inside the batch.
+func (c *Cell) FastLanes() int { return c.chb.FastLanes() }
 
 // ServedRate returns UE i's PF-window-smoothed served rate in
 // bits/slot — the denominator of the proportional-fair metric. The

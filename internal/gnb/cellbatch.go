@@ -1,322 +1,19 @@
 package gnb
 
-import (
-	"fmt"
-	"time"
+import "fmt"
 
-	"github.com/midband5g/midband/internal/channel"
-	"github.com/midband5g/midband/internal/phy"
-	"github.com/midband5g/midband/internal/ue"
-)
-
-// This file is the structure-of-arrays slot engine for population-scale
-// contention cells. A CellBatch adopts an existing contention-model Cell
-// and advances its whole UE set per slot as tight loops over parallel
-// slices: channel fading via channel.Batch (per-lane AR(1) constants
-// hoisted, RSRQ conversion and Sample construction skipped), CSI-report
-// CQI/RI/instSE as flat arrays, and the scheduler pass reading those
-// arrays directly instead of an []ueState array-of-structs. The per-slot
-// constants the scalar path re-derives per UE — the CQI→efficiency
-// ladder, the TBS cache, the amcDerived factors — are hoisted once at
-// adoption time.
+// CellBatch is Cell: every cell steps on the structure-of-arrays engine.
 //
-// Determinism contract: CellBatch.Step is draw-for-draw and bit-identical
-// to Cell.Step on the same configuration. Every RNG consumer keeps its
-// own fleet.SplitSeed-derived stream (channel, CSI, UE ACK draws), and
-// the slot algorithm below mirrors stepContention's exact operation
-// order — sense loop, UL-slot early return, HARQ retransmissions in
-// UE-index order, policy grants (including the PF co-sort that fixes the
-// grant order), PF-window update, load-coupling push. The lockstep tests
-// in cellbatch_test.go pin this with Float64bits equality over ≥100k
-// slots for all four schedulers.
+// Deprecated: use Cell. The alias and NewCellBatch remain only for
+// bench/midbench, their sole caller, and go with its next change.
+type CellBatch = Cell
 
-// CellBatch advances a contention-model Cell one slot per call using
-// structure-of-arrays inner loops. It adopts the Cell passed to
-// NewCellBatch: the UEs' channels move into a channel.Batch, and the
-// Cell must not be stepped directly until Detach. Not safe for
-// concurrent use.
-type CellBatch struct {
-	cell *Cell
-	chb  *channel.Batch
-
-	// Per-UE per-slot state, index-matched with the cell's UE set.
-	sinr   []float64
-	outage []bool
-	cqi    []phy.CQI
-	ri     []int
-	instSE []float64
-	ready  []bool
-
-	// order is the scheduler's working set: the UE indices eligible for
-	// fresh grants this slot, in the policy's grant order (ascending UE
-	// index except PF, which co-sorts by descending metric exactly as the
-	// scalar path reorders its ready slice).
-	order []int
-	rb    []int
-
-	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
-	// the sense loop indexes a flat array instead of calling Lookup (with
-	// its error path) once per UE per slot. Row 0 is 0 ("out of range").
-	effByCQI [phy.MaxCQI + 1]float64
-}
-
-// NewCellBatch adopts a contention-model Cell into a batch stepper. The
-// Cell keeps all its state (RNG streams, HARQ queues, buffers, OLLA and
-// PF arrays); the batch only relocates the channels' fading state and
-// hoists read-only constants. The Cell must not be stepped directly
-// while adopted.
+// NewCellBatch returns cell itself, rejecting nil and share-model cells.
+//
+// Deprecated: step the Cell directly (see CellBatch).
 func NewCellBatch(cell *Cell) (*CellBatch, error) {
-	if cell == nil {
-		return nil, fmt.Errorf("gnb: batch needs a cell")
+	if cell == nil || cell.cfg.Model != CellModelContention {
+		return nil, fmt.Errorf("gnb: NewCellBatch needs a contention-model cell")
 	}
-	if cell.cfg.Model != CellModelContention {
-		return nil, fmt.Errorf("gnb: batch stepping requires CellModelContention (share model is the scalar reference)")
-	}
-	chs := make([]*channel.Channel, len(cell.ues))
-	for i, u := range cell.ues {
-		chs[i] = u.ch
-	}
-	chb, err := channel.NewBatch(chs)
-	if err != nil {
-		return nil, fmt.Errorf("gnb: batch: %w", err)
-	}
-	n := len(cell.ues)
-	b := &CellBatch{
-		cell:   cell,
-		chb:    chb,
-		sinr:   make([]float64, n),
-		outage: make([]bool, n),
-		cqi:    make([]phy.CQI, n),
-		ri:     make([]int, n),
-		instSE: make([]float64, n),
-		ready:  make([]bool, n),
-		order:  make([]int, 0, n),
-		rb:     make([]int, 0, n),
-	}
-	for q := phy.CQI(1); q <= phy.MaxCQI; q++ {
-		row, err := cell.csiCfg.Table.Lookup(q)
-		if err != nil {
-			return nil, fmt.Errorf("gnb: batch: CQI ladder: %w", err)
-		}
-		b.effByCQI[q] = row.Efficiency
-	}
-	return b, nil
-}
-
-// Step advances one slot for the whole UE population. The returned
-// CellSlot's Allocs slice is owned by the underlying Cell and valid
-// until the next Step call. The algorithm is stepContention's, restated
-// over the SoA views; see the file comment for the equivalence contract.
-//
-//detlint:zeroalloc
-func (b *CellBatch) Step() CellSlot {
-	c := b.cell
-	slot := c.slot
-	c.slot++
-	res := CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
-
-	// Sense: all channels advance in one SoA pass, then the CSI loops and
-	// arrival processes run over the fresh SINR array. Draw order per UE
-	// is unchanged (channel stream, then CSI stream); cross-UE order is
-	// free because every stream is independent.
-	b.chb.StepInto(b.sinr, b.outage)
-	for i, u := range c.ues {
-		u.csi.Observe(slot, b.sinr[i])
-		u.buf.Arrive()
-		rep, ok := u.csi.Current()
-		b.cqi[i] = rep.CQI
-		b.ri[i] = rep.RI
-		b.instSE[i] = 0
-		ready := ok && rep.CQI > 0 && !b.outage[i] && u.buf.Backlogged()
-		b.ready[i] = ready
-		if ready && rep.CQI <= phy.MaxCQI {
-			b.instSE[i] = b.effByCQI[rep.CQI] * float64(rep.RI)
-		}
-	}
-
-	dlSym := c.dlSymbols(slot)
-	if dlSym == 0 {
-		return res
-	}
-
-	budget := c.cfg.Carrier.NRB
-	res.Allocs = c.allocs[:0]
-	sched := c.scheduled
-	for i := range sched {
-		sched[i] = false
-	}
-
-	// HARQ retransmissions first, in UE-index order (same preemption rule
-	// as the scalar path: RTT-ready, fits the remaining budget, link up).
-	for i, u := range c.ues {
-		if budget < 1 {
-			break
-		}
-		if b.outage[i] {
-			continue
-		}
-		job, ok := popReadyFit(&u.harq, slot, budget)
-		if !ok {
-			continue
-		}
-		budget -= job.rbs
-		sched[i] = true
-		if a, ok := c.deliver(slot, i, job, b.sinr[i]); ok {
-			res.Allocs = append(res.Allocs, UEAlloc{
-				UE: i, Alloc: a, SINRdB: b.sinr[i], CQI: b.cqi[i],
-			})
-		}
-	}
-
-	// Fresh grants over the SoA views: order collects the eligible UE
-	// indices, rb their integer RB shares, both in grant order.
-	order := b.order[:0]
-	for i := range c.ues {
-		if b.ready[i] && !sched[i] {
-			order = append(order, i)
-		}
-	}
-	b.order = order
-	if budget > 0 && len(order) > 0 {
-		rb := b.rb[:0]
-		switch c.cfg.Policy {
-		case SchedulerMaxRate:
-			best := 0
-			for k, idx := range order[1:] {
-				if b.instSE[idx] > b.instSE[order[best]] {
-					best = k + 1
-				}
-			}
-			for k := range order {
-				w := 0
-				if k == best {
-					w = budget
-				}
-				rb = append(rb, w)
-			}
-		case SchedulerRoundRobin:
-			n := len(c.ues)
-			chosen := -1
-			for off := 0; off < n && chosen < 0; off++ {
-				cand := (c.rr + off) % n
-				if b.ready[cand] && !sched[cand] {
-					chosen = cand
-				}
-			}
-			c.rr = (chosen + 1) % n
-			for _, idx := range order {
-				w := 0
-				if idx == chosen {
-					w = budget
-				}
-				rb = append(rb, w)
-			}
-		case SchedulerProportionalFair:
-			// Identical to the scalar PF pass: metrics in UE-index order,
-			// insertion sort descending co-sorting order, integer shares
-			// with a descending-prefix remainder. The co-sort matters:
-			// grant order fixes the Allocs order the callers see.
-			ss := c.scores[:0]
-			total := 0.0
-			for _, idx := range order {
-				m := b.instSE[idx] / c.served[idx]
-				ss = append(ss, pfScore{idx, m})
-				total += m
-			}
-			c.scores = ss
-			for i := 1; i < len(ss); i++ {
-				for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
-					ss[j], ss[j-1] = ss[j-1], ss[j]
-					order[j], order[j-1] = order[j-1], order[j]
-				}
-			}
-			left := budget
-			for _, s := range ss {
-				w := 0
-				if total > 0 {
-					w = int(float64(budget) * s.metric / total)
-				}
-				rb = append(rb, w)
-				left -= w
-			}
-			for i := 0; i < len(rb) && left > 0; i++ {
-				rb[i]++
-				left--
-			}
-		default: // equal share
-			q, r := budget/len(order), budget%len(order)
-			for k := range order {
-				w := q
-				if k < r {
-					w++
-				}
-				rb = append(rb, w)
-			}
-		}
-		b.rb = rb
-
-		for k, idx := range order {
-			rbs := rb[k]
-			if rbs < 1 {
-				continue
-			}
-			rep := ue.Report{CQI: b.cqi[idx], RI: b.ri[idx]}
-			job, ok := c.newContentionTB(slot, idx, rep, dlSym, rbs)
-			if !ok {
-				continue
-			}
-			if a, ok := c.deliver(slot, idx, job, b.sinr[idx]); ok {
-				res.Allocs = append(res.Allocs, UEAlloc{
-					UE: idx, Alloc: a, SINRdB: b.sinr[idx], CQI: b.cqi[idx],
-				})
-			}
-		}
-	}
-
-	c.allocs = res.Allocs
-	if len(res.Allocs) == 0 {
-		res.Allocs = nil
-	}
-	c.updatePFWindow(res.Allocs)
-
-	// Load coupling, with the push fanned out through the channel batch
-	// (lane order is UE-index order, matching the scalar loop).
-	granted := 0
-	for _, a := range res.Allocs {
-		granted += a.Alloc.RBs
-	}
-	util := float64(granted) / float64(c.cfg.Carrier.NRB)
-	c.loadEMA += (util - c.loadEMA) / loadEMAWindow
-	if !c.cfg.DisableLoadCoupling && len(c.ues) > 1 && slot%loadPushPeriod == loadPushPeriod-1 {
-		b.chb.SetNeighborLoad(c.loadEMA)
-	}
-	return res
-}
-
-// Cell returns the adopted cell for its read-only accessors (LoadEMA,
-// ServedRate, NumUEs, Config). Step it only after Detach.
-func (b *CellBatch) Cell() *Cell { return b.cell }
-
-// NumUEs returns the number of UEs sharing the cell.
-func (b *CellBatch) NumUEs() int { return len(b.cell.ues) }
-
-// SlotDuration returns the cell's slot length.
-func (b *CellBatch) SlotDuration() time.Duration { return b.cell.slotDur }
-
-// LoadEMA returns the smoothed RB utilization (see Cell.LoadEMA).
-func (b *CellBatch) LoadEMA() float64 { return b.cell.loadEMA }
-
-// ServedRate returns UE i's PF-smoothed served rate (see Cell.ServedRate).
-func (b *CellBatch) ServedRate(i int) float64 { return b.cell.served[i] }
-
-// FastLanes returns how many UE channels run on the SoA fast path.
-func (b *CellBatch) FastLanes() int { return b.chb.FastLanes() }
-
-// Detach writes the batched fading state back into the UEs' channels and
-// returns the cell, which can then be stepped directly (Cell.Step picks
-// up exactly where the batch left off). The batch must not be stepped
-// afterwards.
-func (b *CellBatch) Detach() *Cell {
-	b.chb.Detach()
-	return b.cell
+	return cell, nil
 }

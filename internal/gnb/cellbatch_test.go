@@ -1,148 +1,13 @@
 package gnb
 
 import (
-	"math"
 	"testing"
 
 	"github.com/midband5g/midband/internal/channel"
-	"github.com/midband5g/midband/internal/fault"
 )
 
-// lockstepCells builds two identically-configured contention cells: one
-// stepped through a CellBatch, one as the scalar reference.
-func lockstepCells(t *testing.T, cfg CellConfig) (*CellBatch, *Cell) {
-	t.Helper()
-	scalar, err := NewCell(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adopted, err := NewCell(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := NewCellBatch(adopted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return batch, scalar
-}
-
-// assertSlotEqual compares one slot's outcome bit-for-bit: the alloc
-// sequence (grant order included), the SINR samples, and the cell-side
-// PF/load state the schedulers feed back on.
-func assertSlotEqual(t *testing.T, slot int, got, want CellSlot, batch *CellBatch, scalar *Cell) {
-	t.Helper()
-	if got.Slot != want.Slot || got.Time != want.Time {
-		t.Fatalf("slot %d: header (%d, %v) vs scalar (%d, %v)", slot, got.Slot, got.Time, want.Slot, want.Time)
-	}
-	if len(got.Allocs) != len(want.Allocs) {
-		t.Fatalf("slot %d: %d allocs vs scalar %d", slot, len(got.Allocs), len(want.Allocs))
-	}
-	for j := range got.Allocs {
-		g, w := got.Allocs[j], want.Allocs[j]
-		if math.Float64bits(g.SINRdB) != math.Float64bits(w.SINRdB) {
-			t.Fatalf("slot %d alloc %d: SINR bits %x vs scalar %x", slot, j,
-				math.Float64bits(g.SINRdB), math.Float64bits(w.SINRdB))
-		}
-		if g != w {
-			t.Fatalf("slot %d alloc %d: %+v vs scalar %+v", slot, j, g, w)
-		}
-	}
-	for i := 0; i < scalar.NumUEs(); i++ {
-		if math.Float64bits(batch.ServedRate(i)) != math.Float64bits(scalar.ServedRate(i)) {
-			t.Fatalf("slot %d UE %d: served bits %x vs scalar %x", slot, i,
-				math.Float64bits(batch.ServedRate(i)), math.Float64bits(scalar.ServedRate(i)))
-		}
-	}
-	if math.Float64bits(batch.LoadEMA()) != math.Float64bits(scalar.LoadEMA()) {
-		t.Fatalf("slot %d: loadEMA bits %x vs scalar %x", slot,
-			math.Float64bits(batch.LoadEMA()), math.Float64bits(scalar.LoadEMA()))
-	}
-}
-
-var lockstepPolicies = []SchedulerPolicy{
-	SchedulerEqualShare, SchedulerProportionalFair, SchedulerMaxRate, SchedulerRoundRobin,
-}
-
-// TestCellBatchLockstepScalar is the tentpole bit-identity contract: for
-// every scheduler policy, ≥100k batch-stepped slots reproduce the scalar
-// contention path's allocations, SINR samples, PF served rates and load
-// EMA to the exact bit — full-buffer and finite-traffic mixes alike.
-func TestCellBatchLockstepScalar(t *testing.T) {
-	ues := []channel.Point{{X: 0, Y: 45}, {X: 0, Y: 90}, {X: 0, Y: 117}, {X: 0, Y: 150}}
-	traffics := []struct {
-		name    string
-		traffic []UETraffic
-	}{
-		{"full-buffer", nil},
-		{"finite-mix", []UETraffic{{OfferedMbps: 20}, {}, {OfferedMbps: 5}, {OfferedMbps: 60}}},
-	}
-	for _, pol := range lockstepPolicies {
-		for _, tr := range traffics {
-			t.Run(pol.String()+"/"+tr.name, func(t *testing.T) {
-				cfg := contentionConfig(t, pol, ues)
-				cfg.Traffic = tr.traffic
-				batch, scalar := lockstepCells(t, cfg)
-				if batch.FastLanes() != len(ues) {
-					t.Fatalf("fast lanes %d, want %d (stationary fault-free UEs)", batch.FastLanes(), len(ues))
-				}
-				for slot := 0; slot < 100_000; slot++ {
-					assertSlotEqual(t, slot, batch.Step(), scalar.Step(), batch, scalar)
-				}
-			})
-		}
-	}
-}
-
-// TestCellBatchLockstepFaults runs the same contract with blackout fault
-// injection armed: every UE channel then carries per-slot fault state, so
-// all lanes take the scalar fallback inside the channel batch — and the
-// outcome must still be bit-identical, outages included.
-func TestCellBatchLockstepFaults(t *testing.T) {
-	ues := []channel.Point{{X: 0, Y: 45}, {X: 0, Y: 117}, {X: 0, Y: 150}}
-	for _, pol := range lockstepPolicies {
-		t.Run(pol.String(), func(t *testing.T) {
-			cfg := contentionConfig(t, pol, ues)
-			cfg.Carrier.Channel.Fault = &fault.Blackout{
-				ProbPerSlot: 0.002, DurationSlots: 60, DepthDB: 50, Seed: 41,
-			}
-			cfg.Traffic = []UETraffic{{OfferedMbps: 30}, {}, {OfferedMbps: 10}}
-			batch, scalar := lockstepCells(t, cfg)
-			if batch.FastLanes() != 0 {
-				t.Fatalf("fast lanes %d, want 0 (blackout channels must fall back)", batch.FastLanes())
-			}
-			for slot := 0; slot < 100_000; slot++ {
-				assertSlotEqual(t, slot, batch.Step(), scalar.Step(), batch, scalar)
-			}
-		})
-	}
-}
-
-// TestCellBatchDetach pins the handoff contract: after Detach the cell
-// continues on the scalar path exactly where the batch left it.
-func TestCellBatchDetach(t *testing.T) {
-	ues := []channel.Point{{X: 0, Y: 45}, {X: 0, Y: 90}, {X: 0, Y: 150}}
-	cfg := contentionConfig(t, SchedulerProportionalFair, ues)
-	batch, scalar := lockstepCells(t, cfg)
-	for slot := 0; slot < 20_000; slot++ {
-		assertSlotEqual(t, slot, batch.Step(), scalar.Step(), batch, scalar)
-	}
-	cell := batch.Detach()
-	for slot := 20_000; slot < 40_000; slot++ {
-		got, want := cell.Step(), scalar.Step()
-		if len(got.Allocs) != len(want.Allocs) {
-			t.Fatalf("post-detach slot %d: %d allocs vs %d", slot, len(got.Allocs), len(want.Allocs))
-		}
-		for j := range got.Allocs {
-			if got.Allocs[j] != want.Allocs[j] {
-				t.Fatalf("post-detach slot %d alloc %d: %+v vs %+v", slot, j, got.Allocs[j], want.Allocs[j])
-			}
-		}
-	}
-}
-
-// TestCellBatchRejectsShareModel: the share model is the bit-identity
-// reference for the checked-in figures and stays scalar-only.
+// TestCellBatchRejectsShareModel pins the deprecated alias's contract:
+// NewCellBatch accepts only contention-model cells.
 func TestCellBatchRejectsShareModel(t *testing.T) {
 	cfg := testCellConfig(t, SchedulerEqualShare, []channel.Point{{X: 0, Y: 45}})
 	cell, err := NewCell(cfg)
@@ -157,9 +22,10 @@ func TestCellBatchRejectsShareModel(t *testing.T) {
 	}
 }
 
-// TestCellBatchStepAllocs pins the whole batched slot loop — channel SoA
-// step, CSI, HARQ, scheduler, PF window, load coupling — at zero
-// steady-state allocations.
+// TestCellBatchStepAllocs pins the slot loop as bench/midbench drives it
+// through the deprecated alias — channel SoA step, CSI, HARQ, scheduler,
+// PF window, load coupling — at zero steady-state allocations, with a
+// finite-traffic mix.
 func TestCellBatchStepAllocs(t *testing.T) {
 	ues := []channel.Point{{X: 0, Y: 45}, {X: 0, Y: 90}, {X: 0, Y: 117}, {X: 0, Y: 150}}
 	for _, pol := range lockstepPolicies {
@@ -181,7 +47,7 @@ func TestCellBatchStepAllocs(t *testing.T) {
 				batch.Step()
 			})
 			if allocs > 0 {
-				t.Errorf("CellBatch.Step allocates %.3f objects/slot, want 0", allocs)
+				t.Errorf("Cell.Step via NewCellBatch allocates %.3f objects/slot, want 0", allocs)
 			}
 		})
 	}

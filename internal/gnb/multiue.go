@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
@@ -17,7 +16,8 @@ import (
 // load-coupled interference (the cell's own RB utilization replaces the
 // statistical channel.Config.NeighborLoad). The legacy share model in
 // cell.go stays bit-identical — the checked-in figures depend on it — so
-// everything here is opt-in via CellConfig.Model.
+// everything here is opt-in via CellConfig.Model. Both models share the
+// sense pass in Cell.Step.
 
 // CellModel selects the cell's scheduling fidelity.
 type CellModel uint8
@@ -75,43 +75,17 @@ const (
 	loadPushPeriod = 64
 )
 
-// stepContention is Step for CellModelContention. Scheduling order within
-// a slot: HARQ retransmissions first (in UE-index order, each keeping its
-// original RB footprint), then fresh transport blocks for the remaining
-// backlogged UEs under the configured policy, all within the carrier's
-// NRB budget. The returned Allocs slice is owned by the Cell.
+// scheduleContention is the contention model's scheduler over this
+// slot's sense pass. Scheduling order within a slot: HARQ
+// retransmissions first (in UE-index order, each keeping its original RB
+// footprint), then fresh transport blocks for the remaining backlogged
+// UEs under the configured policy, all within the carrier's NRB budget.
+// The returned slice is backed by c.allocs.
 //
 //detlint:zeroalloc
-func (c *Cell) stepContention() CellSlot {
-	slot := c.slot
-	c.slot++
-	res := CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
-
-	states := c.states[:0]
-	for i, u := range c.ues {
-		s := u.ch.Step()
-		u.csi.Observe(slot, s.SINRdB)
-		u.buf.Arrive()
-		rep, ok := u.csi.Current()
-		st := ueState{idx: i, sample: s, report: rep,
-			ready: ok && rep.CQI > 0 && !s.Outage && u.buf.Backlogged()}
-		if st.ready {
-			row, err := c.csiCfg.Table.Lookup(rep.CQI)
-			if err == nil {
-				st.instSE = row.Efficiency * float64(rep.RI)
-			}
-		}
-		states = append(states, st)
-	}
-	c.states = states
-
-	dlSym := c.dlSymbols(slot)
-	if dlSym == 0 {
-		return res
-	}
-
+func (c *Cell) scheduleContention(slot int64, dlSym int) []UEAlloc {
 	budget := c.cfg.Carrier.NRB
-	res.Allocs = c.allocs[:0]
+	allocs := c.allocs[:0]
 	sched := c.scheduled
 	for i := range sched {
 		sched[i] = false
@@ -125,7 +99,7 @@ func (c *Cell) stepContention() CellSlot {
 		if budget < 1 {
 			break
 		}
-		if states[i].sample.Outage {
+		if c.outage[i] {
 			continue
 		}
 		job, ok := popReadyFit(&u.harq, slot, budget)
@@ -134,148 +108,129 @@ func (c *Cell) stepContention() CellSlot {
 		}
 		budget -= job.rbs
 		sched[i] = true
-		if a, ok := c.deliver(slot, i, job, states[i].sample.SINRdB); ok {
-			res.Allocs = append(res.Allocs, UEAlloc{
-				UE: i, Alloc: a, SINRdB: states[i].sample.SINRdB, CQI: states[i].report.CQI,
-			})
+		if a, ok := c.deliver(slot, i, job, c.sinr[i]); ok {
+			allocs = append(allocs, UEAlloc{UE: i, Alloc: a, SINRdB: c.sinr[i], CQI: c.cqi[i]})
 		}
 	}
 
-	// Fresh grants for the backlogged UEs that did not retransmit.
-	ready := c.ready[:0]
-	for _, st := range states {
-		if st.ready && !sched[st.idx] {
-			ready = append(ready, st)
+	// Fresh grants for the backlogged UEs that did not retransmit: order
+	// collects them, rb their integer RB shares, both in grant order.
+	order := c.order[:0]
+	for i, r := range c.ready {
+		if r && !sched[i] {
+			order = append(order, i)
 		}
 	}
-	c.ready = ready
-	if budget > 0 && len(ready) > 0 {
-		rb := c.rbAlloc[:0]
-		switch c.cfg.Policy {
-		case SchedulerMaxRate:
-			// Whole remaining budget to the best instantaneous spectral
-			// efficiency (ties break on the lower UE index).
-			best := 0
-			for i, st := range ready[1:] {
-				if st.instSE > ready[best].instSE {
-					best = i + 1
-				}
-			}
-			for i := range ready {
-				w := 0
-				if i == best {
-					w = budget
-				}
-				rb = append(rb, w)
-			}
-		case SchedulerRoundRobin:
-			// Whole-slot time-domain rotation over backlogged UEs: the
-			// cursor remembers who is next, so every contender gets the
-			// same share of slots regardless of channel quality.
-			n := len(c.ues)
-			chosen := -1
-			for off := 0; off < n && chosen < 0; off++ {
-				cand := (c.rr + off) % n
-				if states[cand].ready && !sched[cand] {
-					chosen = cand
-				}
-			}
-			c.rr = (chosen + 1) % n
-			for i := range ready {
-				w := 0
-				if ready[i].idx == chosen {
-					w = budget
-				}
-				rb = append(rb, w)
-			}
-		case SchedulerProportionalFair:
-			// Frequency-domain PF across the whole ready set: each UE's
-			// integer RB share is proportional to its PF metric
-			// (instantaneous rate over window-smoothed served rate), with
-			// the rounding remainder going to the highest metrics. The
-			// served-rate window below is what makes this fair over time.
-			// ready is reordered by descending metric so the remainder
-			// pass is a prefix walk.
-			ss := c.scores[:0]
-			total := 0.0
-			for _, st := range ready {
-				m := st.instSE / c.served[st.idx]
-				ss = append(ss, pfScore{st.idx, m})
-				total += m
-			}
-			c.scores = ss
-			for i := 1; i < len(ss); i++ {
-				for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
-					ss[j], ss[j-1] = ss[j-1], ss[j]
-					ready[j], ready[j-1] = ready[j-1], ready[j]
-				}
-			}
-			left := budget
-			for _, s := range ss {
-				w := 0
-				if total > 0 {
-					w = int(float64(budget) * s.metric / total)
-				}
-				rb = append(rb, w)
-				left -= w
-			}
-			// Σ⌊x⌋ > budget − n, so one descending prefix pass places the
-			// remainder (at most one extra RB per UE).
-			for i := 0; i < len(rb) && left > 0; i++ {
-				rb[i]++
-				left--
-			}
-		default: // equal share
-			q, r := budget/len(ready), budget%len(ready)
-			for i := range ready {
-				w := q
-				if i < r {
-					w++
-				}
-				rb = append(rb, w)
+	c.order = order
+	if budget < 1 || len(order) == 0 {
+		return allocs
+	}
+	rb := c.rb[:0]
+	switch c.cfg.Policy {
+	case SchedulerMaxRate:
+		// Whole remaining budget to the best instantaneous spectral
+		// efficiency (ties break on the lower UE index).
+		best := 0
+		for k, idx := range order[1:] {
+			if c.instSE[idx] > c.instSE[order[best]] {
+				best = k + 1
 			}
 		}
-		c.rbAlloc = rb
-
-		for i, st := range ready {
-			rbs := rb[i]
-			if rbs < 1 {
-				continue
+		for k := range order {
+			w := 0
+			if k == best {
+				w = budget
 			}
-			job, ok := c.newContentionTB(slot, st.idx, st.report, dlSym, rbs)
-			if !ok {
-				continue
-			}
-			if a, ok := c.deliver(slot, st.idx, job, st.sample.SINRdB); ok {
-				res.Allocs = append(res.Allocs, UEAlloc{
-					UE: st.idx, Alloc: a, SINRdB: st.sample.SINRdB, CQI: st.report.CQI,
-				})
+			rb = append(rb, w)
+		}
+	case SchedulerRoundRobin:
+		// Whole-slot time-domain rotation over backlogged UEs: the
+		// cursor remembers who is next, so every contender gets the
+		// same share of slots regardless of channel quality.
+		n := len(c.ues)
+		chosen := -1
+		for off := 0; off < n && chosen < 0; off++ {
+			cand := (c.rr + off) % n
+			if c.ready[cand] && !sched[cand] {
+				chosen = cand
 			}
 		}
+		c.rr = (chosen + 1) % n
+		for _, idx := range order {
+			w := 0
+			if idx == chosen {
+				w = budget
+			}
+			rb = append(rb, w)
+		}
+	case SchedulerProportionalFair:
+		// Frequency-domain PF across the whole ready set: each UE's
+		// integer RB share is proportional to its PF metric, with the
+		// rounding remainder going to the highest metrics. The
+		// served-rate window is what makes this fair over time. rankPF
+		// reorders order by descending metric, which fixes the grant
+		// order callers see and makes the remainder pass a prefix walk.
+		ss, total := c.rankPF(order)
+		left := budget
+		for _, s := range ss {
+			w := 0
+			if total > 0 {
+				w = int(float64(budget) * s.metric / total)
+			}
+			rb = append(rb, w)
+			left -= w
+		}
+		// Σ⌊x⌋ > budget − n, so one descending prefix pass places the
+		// remainder (at most one extra RB per UE).
+		for i := 0; i < len(rb) && left > 0; i++ {
+			rb[i]++
+			left--
+		}
+	default: // equal share
+		q, r := budget/len(order), budget%len(order)
+		for k := range order {
+			w := q
+			if k < r {
+				w++
+			}
+			rb = append(rb, w)
+		}
 	}
+	c.rb = rb
 
-	c.allocs = res.Allocs
-	if len(res.Allocs) == 0 {
-		res.Allocs = nil
+	for k, idx := range order {
+		rbs := rb[k]
+		if rbs < 1 {
+			continue
+		}
+		rep := ue.Report{CQI: c.cqi[idx], RI: c.ri[idx]}
+		job, ok := c.newContentionTB(slot, idx, rep, dlSym, rbs)
+		if !ok {
+			continue
+		}
+		if a, ok := c.deliver(slot, idx, job, c.sinr[idx]); ok {
+			allocs = append(allocs, UEAlloc{UE: idx, Alloc: a, SINRdB: c.sinr[idx], CQI: c.cqi[idx]})
+		}
 	}
-	c.updatePFWindow(res.Allocs)
+	return allocs
+}
 
-	// Load coupling: fold this slot's RB utilization into the EMA and
-	// periodically mirror it into each UE's channel as the neighbor
-	// activity factor. Real co-UEs thus replace the statistical
-	// NeighborLoad: a saturated cell sees saturated neighbors.
+// coupleLoad folds one slot's RB utilization into the EMA and
+// periodically mirrors it into every UE's channel as the neighbor
+// activity factor. Real co-UEs thus replace the statistical
+// NeighborLoad: a saturated cell sees saturated neighbors.
+//
+//detlint:zeroalloc
+func (c *Cell) coupleLoad(slot int64, allocs []UEAlloc) {
 	granted := 0
-	for _, a := range res.Allocs {
+	for _, a := range allocs {
 		granted += a.Alloc.RBs
 	}
 	util := float64(granted) / float64(c.cfg.Carrier.NRB)
 	c.loadEMA += (util - c.loadEMA) / loadEMAWindow
 	if !c.cfg.DisableLoadCoupling && len(c.ues) > 1 && slot%loadPushPeriod == loadPushPeriod-1 {
-		for _, u := range c.ues {
-			u.ch.SetNeighborLoad(c.loadEMA)
-		}
+		c.chb.SetNeighborLoad(c.loadEMA)
 	}
-	return res
 }
 
 // newContentionTB sizes a fresh transport block for an integer RB grant,

@@ -11,7 +11,7 @@
 #
 # The benchmark set is the per-slot hot path: channel fading step, TBS
 # lookup (direct and memoized), the full carrier scheduler step, the
-# multi-UE population curve (batched engine at 4/16/64/256 UEs,
+# multi-UE population curve (Cell.Step's SoA engine at 4/16/64/256 UEs,
 # reporting ns/UE-slot), the aggregated link step, the columnar
 # trace pipeline (block encode on the write side, projected block
 # decode on the scan side, reporting ns/record), and one Quick-scale
