@@ -246,6 +246,11 @@ type Channel struct {
 	// secondary carriers outside trace captures — toggle this; it touches
 	// no RNG stream, so every other field stays bit-identical.
 	skipRSRQ bool
+
+	// scan memoizes a moving UE's last site scan (nil when staticGeo).
+	// ShareSiteScans points same-geometry channels of one link at a
+	// single memo, so co-sited carriers scan each position once.
+	scan *siteScan
 }
 
 // New creates a channel process.
@@ -293,8 +298,73 @@ func New(cfg Config) (*Channel, error) {
 		ch.geoDataDBm = 10 * math.Log10(ch.noiseMW+interfData)
 		interfRSRQ := ch.geoInterf*rsrqLoad + ch.floorMW
 		ch.geoRSRQDBm = 10 * math.Log10(ch.noiseMW+interfRSRQ)
+	} else {
+		ch.scan = new(siteScan)
 	}
 	return ch, nil
+}
+
+// siteScan is the memo of one site scan: the strongestSite result at the
+// position whose coordinates' bit patterns are x, y.
+type siteScan struct {
+	valid    bool
+	x, y     uint64
+	cell     int
+	rsrp     float64
+	interfMW float64
+}
+
+// ShareSiteScans lets moving channels with bit-equal geometry — sites,
+// Tx power and carrier frequency — share one site-scan memo. The scan is a
+// pure function of (position, deployment, frequency), so a channel that
+// reaches a position another has just scanned reuses that result, and one
+// whose position differs (another numerology, another route) simply
+// rescans: samples are bit-identical either way. Aggregated co-sited
+// carriers on one route thus scan each position once instead of once per
+// carrier. Stationary channels already hold their scan as a constant and
+// are left alone. Draws no randomness.
+func ShareSiteScans(chs ...*Channel) {
+	for i, c := range chs {
+		if c.scan == nil {
+			continue
+		}
+		for _, prev := range chs[:i] {
+			if prev.scan != nil && sameGeometry(prev.cfg, c.cfg) {
+				c.scan = prev.scan
+				break
+			}
+		}
+	}
+}
+
+// sameGeometry reports whether two configs yield the same site scan at
+// every position.
+func sameGeometry(a, b Config) bool {
+	if math.Float64bits(a.CarrierFreqMHz) != math.Float64bits(b.CarrierFreqMHz) ||
+		math.Float64bits(a.Deployment.TxPowerDBmPerRE) != math.Float64bits(b.Deployment.TxPowerDBmPerRE) ||
+		len(a.Deployment.Sites) != len(b.Deployment.Sites) {
+		return false
+	}
+	for i, p := range a.Deployment.Sites {
+		q := b.Deployment.Sites[i]
+		if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// scanAt is strongestSite at p through the channel's memo.
+//
+//detlint:zeroalloc
+func (c *Channel) scanAt(p Point) (cell int, rsrpDBm, interfMW float64) {
+	m := c.scan
+	x, y := math.Float64bits(p.X), math.Float64bits(p.Y)
+	if !m.valid || m.x != x || m.y != y {
+		m.cell, m.rsrp, m.interfMW = c.cfg.Deployment.strongestSite(p, c.cfg.CarrierFreqMHz, c.powers)
+		m.valid, m.x, m.y = true, x, y
+	}
+	return m.cell, m.rsrp, m.interfMW
 }
 
 // Slot returns the index of the next sample to be produced.
@@ -333,8 +403,9 @@ func (c *Channel) NeighborLoad() float64 { return c.cfg.NeighborLoad }
 // to needed.
 func (c *Channel) SetRSRQNeeded(needed bool) { c.skipRSRQ = !needed }
 
-// position is Route.Position with the segment lengths precomputed at
-// construction; the arithmetic mirrors Route.Position exactly.
+// position returns the UE position after traveling for tSec seconds. The
+// route is walked back and forth (ping-pong) so long experiments stay on
+// it; segment lengths are precomputed at construction.
 func (c *Channel) position(tSec float64) Point {
 	r := c.cfg.Route
 	if r.SpeedMPS == 0 || len(r.Waypoints) == 1 {
@@ -398,7 +469,7 @@ func (c *Channel) StepInto(out *Sample) {
 	if c.staticGeo {
 		cell, rsrp, interfMW = c.geoCell, c.geoRSRP, c.geoInterf
 	} else {
-		cell, rsrp, interfMW = c.cfg.Deployment.strongestSite(pos, c.cfg.CarrierFreqMHz, c.powers)
+		cell, rsrp, interfMW = c.scanAt(pos)
 	}
 	rsrp += c.shadowDB
 

@@ -192,18 +192,19 @@ func TestRoutePosition(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Position(5); math.Abs(got.X-50) > 1e-9 {
+	w := walker(t, r)
+	if got := w.position(5); math.Abs(got.X-50) > 1e-9 {
 		t.Errorf("position at 5s = %+v, want X=50", got)
 	}
 	// Ping-pong: at t=15s the UE has turned around and is heading back.
-	if got := r.Position(15); math.Abs(got.X-50) > 1e-9 {
+	if got := w.position(15); math.Abs(got.X-50) > 1e-9 {
 		t.Errorf("position at 15s = %+v, want X=50 (returning)", got)
 	}
-	if got := r.Position(20); math.Abs(got.X-0) > 1e-9 {
+	if got := w.position(20); math.Abs(got.X-0) > 1e-9 {
 		t.Errorf("position at 20s = %+v, want X=0", got)
 	}
-	if r.Length() != 100 {
-		t.Errorf("route length = %g, want 100", r.Length())
+	if w.segTotal != 100 {
+		t.Errorf("route length = %g, want 100", w.segTotal)
 	}
 }
 

@@ -44,41 +44,6 @@ func (r Route) Validate() error {
 	return nil
 }
 
-// Length returns the total polyline length in meters.
-func (r Route) Length() float64 {
-	total := 0.0
-	for i := 1; i < len(r.Waypoints); i++ {
-		total += r.Waypoints[i-1].Distance(r.Waypoints[i])
-	}
-	return total
-}
-
-// Position returns the UE position after traveling for t seconds. The route
-// is walked back and forth (ping-pong) so long experiments stay on it.
-func (r Route) Position(tSec float64) Point {
-	if r.SpeedMPS == 0 || len(r.Waypoints) == 1 {
-		return r.Waypoints[0]
-	}
-	total := r.Length()
-	if total == 0 {
-		return r.Waypoints[0]
-	}
-	d := math.Mod(r.SpeedMPS*tSec, 2*total)
-	if d > total {
-		d = 2*total - d // walking back
-	}
-	for i := 1; i < len(r.Waypoints); i++ {
-		seg := r.Waypoints[i-1].Distance(r.Waypoints[i])
-		if d <= seg && seg > 0 {
-			f := d / seg
-			a, b := r.Waypoints[i-1], r.Waypoints[i]
-			return Point{a.X + f*(b.X-a.X), a.Y + f*(b.Y-a.Y)}
-		}
-		d -= seg
-	}
-	return r.Waypoints[len(r.Waypoints)-1]
-}
-
 // Mobility profiles used by the paper's experiments.
 var (
 	// MobilityStationary keeps the UE on a flat surface (§2 step ❹).
@@ -107,23 +72,27 @@ func (d Deployment) Validate() error {
 	return nil
 }
 
-// StrongestSite returns the index of the site with the least path loss from
+// strongestSite returns the index of the site with the least path loss from
 // p at carrier frequency fcMHz and the corresponding received per-RE power
 // (dBm), plus the total interference power (mW) from all other sites.
-func (d Deployment) StrongestSite(p Point, fcMHz float64) (idx int, rsrpDBm float64, interfMW float64) {
-	return d.strongestSite(p, fcMHz, make([]float64, len(d.Sites)))
-}
-
-// strongestSite is StrongestSite with a caller-provided scratch slice
-// (len ≥ len(d.Sites)) so the per-slot hot path allocates nothing.
+// powers is caller-provided scratch (len ≥ len(d.Sites)) so the per-slot
+// hot path allocates nothing. PathLossDB's frequency term is computed once
+// per scan rather than once per site; the 10 m clamp and the addition
+// order are PathLossDB's, so every per-site loss is bit-identical to
+// PathLossDB(distance, fcMHz).
 //
 //detlint:zeroalloc
 func (d Deployment) strongestSite(p Point, fcMHz float64, powers []float64) (idx int, rsrpDBm float64, interfMW float64) {
 	best := math.Inf(-1)
 	idx = -1
 	powers = powers[:len(d.Sites)]
+	fcTerm := 20 * math.Log10(fcMHz/1000)
 	for i, s := range d.Sites {
-		rx := d.TxPowerDBmPerRE - PathLossDB(p.Distance(s), fcMHz)
+		dist := p.Distance(s)
+		if dist < 10 {
+			dist = 10
+		}
+		rx := d.TxPowerDBmPerRE - (28.0 + 22*math.Log10(dist) + fcTerm)
 		powers[i] = rx
 		if rx > best {
 			best = rx

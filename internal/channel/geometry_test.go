@@ -15,6 +15,81 @@ func TestPointDistance(t *testing.T) {
 	}
 }
 
+// routeLength is the total polyline length in meters; routePosition is
+// the UE position after traveling for tSec seconds, walking the route back
+// and forth. Together they are the straightforward route walker the
+// production Channel.position (segment lengths precomputed) must match.
+func routeLength(r Route) float64 {
+	total := 0.0
+	for i := 1; i < len(r.Waypoints); i++ {
+		total += r.Waypoints[i-1].Distance(r.Waypoints[i])
+	}
+	return total
+}
+
+func routePosition(r Route, tSec float64) Point {
+	if r.SpeedMPS == 0 || len(r.Waypoints) == 1 {
+		return r.Waypoints[0]
+	}
+	total := routeLength(r)
+	if total == 0 {
+		return r.Waypoints[0]
+	}
+	d := math.Mod(r.SpeedMPS*tSec, 2*total)
+	if d > total {
+		d = 2*total - d // walking back
+	}
+	for i := 1; i < len(r.Waypoints); i++ {
+		seg := r.Waypoints[i-1].Distance(r.Waypoints[i])
+		if d <= seg && seg > 0 {
+			f := d / seg
+			a, b := r.Waypoints[i-1], r.Waypoints[i]
+			return Point{a.X + f*(b.X-a.X), a.Y + f*(b.Y-a.Y)}
+		}
+		d -= seg
+	}
+	return r.Waypoints[len(r.Waypoints)-1]
+}
+
+// referenceStrongestSite is the site scan as first written: PathLossDB and
+// a dB→mW pow per site, nothing hoisted. The production strongestSite
+// must match it bit for bit.
+func referenceStrongestSite(d Deployment, p Point, fcMHz float64) (idx int, rsrpDBm float64, interfMW float64) {
+	best := math.Inf(-1)
+	idx = -1
+	powers := make([]float64, len(d.Sites))
+	for i, s := range d.Sites {
+		rx := d.TxPowerDBmPerRE - PathLossDB(p.Distance(s), fcMHz)
+		powers[i] = rx
+		if rx > best {
+			best = rx
+			idx = i
+		}
+	}
+	for i, rx := range powers {
+		if i != idx {
+			interfMW += math.Pow(10, rx/10)
+		}
+	}
+	return idx, best, interfMW
+}
+
+// scan runs the production site scan with fresh scratch.
+func scan(d Deployment, p Point, fcMHz float64) (int, float64, float64) {
+	return d.strongestSite(p, fcMHz, make([]float64, len(d.Sites)))
+}
+
+// walker builds a channel on route r so tests can drive the production
+// position walker.
+func walker(t testing.TB, r Route) *Channel {
+	t.Helper()
+	ch, err := New(Config{CarrierFreqMHz: 3500, Route: r, Deployment: Deployment{Sites: []Point{{}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
 func TestStrongestSiteSelection(t *testing.T) {
 	d := Deployment{
 		Sites:           []Point{{0, 0}, {500, 0}, {1000, 0}},
@@ -22,7 +97,7 @@ func TestStrongestSiteSelection(t *testing.T) {
 	}
 	// Near each site, that site serves.
 	for i, near := range []Point{{10, 30}, {510, 30}, {990, 30}} {
-		idx, rsrp, interf := d.StrongestSite(near, 3500)
+		idx, rsrp, interf := scan(d, near, 3500)
 		if idx != i {
 			t.Errorf("at %+v serving = %d, want %d", near, idx, i)
 		}
@@ -35,7 +110,7 @@ func TestStrongestSiteSelection(t *testing.T) {
 	}
 	// Single-site deployment has zero modeled interference.
 	solo := Deployment{Sites: []Point{{0, 0}}, TxPowerDBmPerRE: 18}
-	if _, _, interf := solo.StrongestSite(Point{100, 0}, 3500); interf != 0 {
+	if _, _, interf := scan(solo, Point{100, 0}, 3500); interf != 0 {
 		t.Errorf("solo site interference = %g, want 0", interf)
 	}
 }
@@ -45,8 +120,8 @@ func TestStrongestSiteRSRPMonotoneInDistance(t *testing.T) {
 	f := func(aRaw, bRaw uint16) bool {
 		a := 10 + float64(aRaw%2000)
 		b := 10 + float64(bRaw%2000)
-		_, ra, _ := d.StrongestSite(Point{a, 0}, 3500)
-		_, rb, _ := d.StrongestSite(Point{b, 0}, 3500)
+		_, ra, _ := scan(d, Point{a, 0}, 3500)
+		_, rb, _ := scan(d, Point{b, 0}, 3500)
 		if a < b {
 			return ra >= rb
 		}
@@ -60,16 +135,17 @@ func TestStrongestSiteRSRPMonotoneInDistance(t *testing.T) {
 func TestRouteEdgeCases(t *testing.T) {
 	// Zero-length moving route pins at the waypoint.
 	r := Route{Waypoints: []Point{{5, 5}, {5, 5}}, SpeedMPS: 3}
-	if p := r.Position(100); p != (Point{5, 5}) {
+	if p := walker(t, r).position(100); p != (Point{5, 5}) {
 		t.Errorf("degenerate route position = %+v", p)
 	}
 	// Multi-segment routes traverse in order.
 	r = Route{Waypoints: []Point{{0, 0}, {10, 0}, {10, 10}}, SpeedMPS: 1}
-	if p := r.Position(15); math.Abs(p.X-10) > 1e-9 || math.Abs(p.Y-5) > 1e-9 {
+	w := walker(t, r)
+	if p := w.position(15); math.Abs(p.X-10) > 1e-9 || math.Abs(p.Y-5) > 1e-9 {
 		t.Errorf("position at 15s = %+v, want (10,5)", p)
 	}
-	if r.Length() != 20 {
-		t.Errorf("length = %g, want 20", r.Length())
+	if w.segTotal != 20 {
+		t.Errorf("length = %g, want 20", w.segTotal)
 	}
 	// Empty route is invalid.
 	if err := (Route{}).Validate(); err == nil {
@@ -79,12 +155,32 @@ func TestRouteEdgeCases(t *testing.T) {
 
 func TestRoutePingPongProperty(t *testing.T) {
 	// The UE never leaves the polyline's bounding segment.
-	r := Route{Waypoints: []Point{{0, 0}, {100, 0}}, SpeedMPS: 7}
+	w := walker(t, Route{Waypoints: []Point{{0, 0}, {100, 0}}, SpeedMPS: 7})
 	f := func(tRaw uint16) bool {
-		p := r.Position(float64(tRaw) * 0.37)
+		p := w.position(float64(tRaw) * 0.37)
 		return p.X >= -1e-9 && p.X <= 100+1e-9 && p.Y == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestStrongestSiteMatchesReference locks the production scan, with its
+// hoisted frequency term, to the reference scan over random geometry.
+func TestStrongestSiteMatchesReference(t *testing.T) {
+	d := Deployment{
+		Sites:           []Point{{0, 0}, {480, 90}, {-300, 620}, {5, 3}},
+		TxPowerDBmPerRE: 18,
+	}
+	f := func(x, y int16, fcRaw uint16) bool {
+		p := Point{float64(x) / 7, float64(y) / 3}
+		fc := 600 + float64(fcRaw)
+		gi, gr, gf := scan(d, p, fc)
+		wi, wr, wf := referenceStrongestSite(d, p, fc)
+		return gi == wi && math.Float64bits(gr) == math.Float64bits(wr) &&
+			math.Float64bits(gf) == math.Float64bits(wf)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -47,7 +47,7 @@ func newReferenceChannel(t *testing.T, cfg Config) *referenceChannel {
 func (c *referenceChannel) step() Sample {
 	dt := c.cfg.SlotDuration.Seconds()
 	tSec := float64(c.slot) * dt
-	pos := c.cfg.Route.Position(tSec)
+	pos := routePosition(c.cfg.Route, tSec)
 	speed := c.cfg.Route.SpeedMPS
 
 	shadowRate := speed/c.cfg.ShadowCorrMeters + 1/c.cfg.ShadowCorrSeconds
@@ -69,7 +69,7 @@ func (c *referenceChannel) step() Sample {
 		c.slowDB = rhoS*c.slowDB + math.Sqrt(1-rhoS*rhoS)*c.rng.NormFloat64()*c.cfg.SlowSigmaDB
 	}
 
-	cell, rsrp, interfMW := c.cfg.Deployment.StrongestSite(pos, c.cfg.CarrierFreqMHz)
+	cell, rsrp, interfMW := referenceStrongestSite(c.cfg.Deployment, pos, c.cfg.CarrierFreqMHz)
 	rsrp += c.shadowDB
 
 	los, outage := true, false
@@ -240,7 +240,7 @@ func TestKernelMatchesInlineExpressions(t *testing.T) {
 }
 
 // TestPositionMatchesRoutePosition locks the segment-cached position
-// walker to Route.Position over a dense time sweep.
+// walker to the reference routePosition over a dense time sweep.
 func TestPositionMatchesRoutePosition(t *testing.T) {
 	cfg := Config{
 		CarrierFreqMHz: 3500,
@@ -257,10 +257,10 @@ func TestPositionMatchesRoutePosition(t *testing.T) {
 	}
 	for i := 0; i < 500_000; i++ {
 		tSec := float64(i) * 0.0005
-		got, want := ch.position(tSec), ch.cfg.Route.Position(tSec)
+		got, want := ch.position(tSec), routePosition(ch.cfg.Route, tSec)
 		if math.Float64bits(got.X) != math.Float64bits(want.X) ||
 			math.Float64bits(got.Y) != math.Float64bits(want.Y) {
-			t.Fatalf("t=%gs: position %+v != Route.Position %+v", tSec, got, want)
+			t.Fatalf("t=%gs: position %+v != routePosition %+v", tSec, got, want)
 		}
 	}
 }

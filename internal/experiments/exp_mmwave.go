@@ -101,6 +101,8 @@ func Fig19(o Options) ([]Fig19Point, error) {
 			if err != nil {
 				return Fig19Point{}, err
 			}
+			// video.Play never reads RSRQ; skipping it draws no randomness.
+			link.SetRSRQNeeded(false)
 			for i := 0; i < 2000; i++ {
 				link.Step(net5g.Demand{DL: true})
 			}

@@ -426,6 +426,9 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 // Config returns the effective configuration.
 func (c *Carrier) Config() CarrierConfig { return c.cfg }
 
+// Channel returns the carrier's radio channel process.
+func (c *Carrier) Channel() *channel.Channel { return c.ch }
+
 // Slot returns the next slot index to be simulated.
 func (c *Carrier) Slot() int64 { return c.slot }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/midband5g/midband/internal/channel"
 	"github.com/midband5g/midband/internal/gnb"
 	"github.com/midband5g/midband/internal/lte"
 	"github.com/midband5g/midband/internal/xcal"
@@ -66,13 +67,17 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 		return nil, err
 	}
 	l := &Link{cfg: cfg}
+	chs := make([]*channel.Channel, len(cfg.Carriers))
 	for i, cc := range cfg.Carriers {
 		c, err := gnb.NewCarrier(cc)
 		if err != nil {
 			return nil, fmt.Errorf("net5g: carrier %d: %w", i, err)
 		}
 		l.carriers = append(l.carriers, c)
+		chs[i] = c.Channel()
 	}
+	// Co-sited carriers on one route scan each UE position once.
+	channel.ShareSiteScans(chs...)
 	if cfg.LTEAnchor != nil {
 		a, err := lte.NewAnchor(*cfg.LTEAnchor)
 		if err != nil {

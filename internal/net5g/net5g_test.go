@@ -1,6 +1,7 @@
 package net5g
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -307,27 +308,57 @@ func TestLinkClock(t *testing.T) {
 	}
 }
 
-// TestLinkStepAllocs pins the aggregated slot loop — NR carriers plus the
-// LTE anchor — at zero allocations per Step in steady state. The returned
-// slices and LTE pointer are owned by the Link, so nothing escapes.
+// mmWaveCarriers is a moving 4-carrier same-band link: co-sited n261-like
+// component carriers on one route, so the carriers share one site scan.
+func mmWaveCarriers(speed float64) []gnb.CarrierConfig {
+	ccs := make([]gnb.CarrierConfig, 4)
+	for i := range ccs {
+		cc := nrCarrier(fmt.Sprintf("n261/cc%d", i), 66, int64(60+i))
+		cc.Numerology = phy.Mu3
+		cc.Pattern = tdd.MustParse("DDDSU")
+		cc.Channel.CarrierFreqMHz = 28000
+		cc.Channel.Route = channel.Route{Waypoints: []channel.Point{{X: -200}, {X: 200, Y: 40}}, SpeedMPS: speed}
+		cc.Channel.Deployment = channel.Deployment{
+			Sites:           []channel.Point{{X: -150, Y: 60}, {X: 0, Y: -60}, {X: 150, Y: 60}},
+			TxPowerDBmPerRE: 18,
+		}
+		cc.Channel.Blockage = &channel.DefaultBlockage
+		ccs[i] = cc
+	}
+	return ccs
+}
+
+// TestLinkStepAllocs pins the aggregated slot loop at zero allocations
+// per Step in steady state: NR carriers plus the LTE anchor, and a moving
+// 4-carrier same-band link whose carriers share one site-scan memo. The
+// returned slices and LTE pointer are owned by the Link, so nothing
+// escapes.
 func TestLinkStepAllocs(t *testing.T) {
-	l, err := NewLink(LinkConfig{
-		Carriers: []gnb.CarrierConfig{
-			nrCarrier("cc0", 245, 1), nrCarrier("cc1", 106, 50),
+	for name, cfg := range map[string]LinkConfig{
+		"stationary-anchor": {
+			Carriers: []gnb.CarrierConfig{
+				nrCarrier("cc0", 245, 1), nrCarrier("cc1", 106, 50),
+			},
+			LTEAnchor: anchorConfig(9),
+			ULPolicy:  lte.ULDynamic,
 		},
-		LTEAnchor: anchorConfig(9),
-		ULPolicy:  lte.ULDynamic,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20_000; i++ {
-		l.Step(Demand{DL: true, UL: true})
-	}
-	allocs := testing.AllocsPerRun(5000, func() {
-		l.Step(Demand{DL: true, UL: true})
-	})
-	if allocs > 0 {
-		t.Errorf("Link.Step allocates %.3f objects/slot in steady state, want 0", allocs)
+		"walking-4cc": {Carriers: mmWaveCarriers(channel.MobilityWalking)},
+		"driving-4cc": {Carriers: mmWaveCarriers(channel.MobilityDriving)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, err := NewLink(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20_000; i++ {
+				l.Step(Demand{DL: true, UL: true})
+			}
+			allocs := testing.AllocsPerRun(5000, func() {
+				l.Step(Demand{DL: true, UL: true})
+			})
+			if allocs > 0 {
+				t.Errorf("Link.Step allocates %.3f objects/slot in steady state, want 0", allocs)
+			}
+		})
 	}
 }
