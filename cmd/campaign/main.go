@@ -28,24 +28,26 @@
 //	campaign [-out DIR] [-duration 10s] [-seed N] [-ops V_Sp,Tmb_US]
 //	         [-parallel N] [-obs-listen :9090] [-progress 2s]
 //	         [-faults rlf=2e-4,abort=0.05,trace=1e-3,seed=7]
-//	         [-ues-per-cell 4] [-cell-policy pf]
+//	         [-ues-per-cell 4] [-cell-policy pf] [-quick]
+//	campaign -scenario <pack|file> [-quick] [-out DIR] [-seed N] [-parallel N]
 //
 // Multi-UE contention: -ues-per-cell N (N > 1) appends a shared-cell arm
 // after the per-session measurements — each operator's primary carrier
 // runs as one cell with N contending UEs under -cell-policy (pf, rr, mt
-// or eq), reporting per-UE goodput shares and Jain fairness. The default
-// (1) is byte-identical to the legacy single-UE campaign, including the
-// manifest's config digest.
+// or eq), reporting per-UE goodput shares and Jain fairness.
 //
-// Scenarios: -scenario runs a declarative scenario instead of the
-// flag-driven bulk campaign — a shipped pack name (see `scenario list`)
-// or a spec file path. The spec owns the workload (traffic, route, band
-// plan, population, faults, sessions), so the workload-shaping flags
-// -ops, -duration, -faults, -ues-per-cell and -cell-policy are rejected
-// alongside it; run-level flags (-seed, -parallel, -out, -obs-listen,
-// -progress, profiles) compose as usual. -quick shrinks the scenario to
-// CI scale first. The manifest records the scenario name and canonical
-// digest, and the report is the scenario's KPI table.
+// One run path: every run executes a declarative scenario spec
+// (internal/scenario). -scenario names a shipped pack (see `scenario
+// list`) or a spec file path. Without it, the workload-shaping flags
+// -ops, -duration, -faults, -ues-per-cell and -cell-policy compile into
+// a bulk spec named "campaign" with 3 sessions per operator — the §2
+// Table 1 campaign — so a spec that fails validation (a duplicate
+// operator, a non-positive duration) fails the run before anything is
+// simulated. Those flags are rejected alongside -scenario, whose spec
+// owns the workload; run-level flags (-seed, -parallel, -out,
+// -obs-listen, -progress, profiles) compose with either. -quick shrinks
+// the spec to CI scale first. The manifest records the scenario name
+// and canonical digest, and the report is the scenario's KPI table.
 package main
 
 import (
@@ -59,40 +61,19 @@ import (
 	"strings"
 	"time"
 
-	"github.com/midband5g/midband/internal/core"
-	"github.com/midband5g/midband/internal/fault"
 	"github.com/midband5g/midband/internal/fleet"
 	"github.com/midband5g/midband/internal/gnb"
 	"github.com/midband5g/midband/internal/obs"
-	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/report"
 	"github.com/midband5g/midband/internal/scenario"
 )
-
-// manifestConfig is the digested run configuration: exactly the inputs
-// that determine campaign outputs. Workers is deliberately excluded —
-// outputs are byte-identical for any worker count — and recorded on the
-// manifest's top level instead.
-type manifestConfig struct {
-	Operators       []string `json:"operators"`
-	DurationSeconds float64  `json:"duration_seconds"`
-	Seed            int64    `json:"seed"`
-	// Faults is the -faults spec verbatim; omitted when empty so
-	// fault-free manifests keep their historical config digest.
-	Faults string `json:"faults,omitempty"`
-	// UEsPerCell and CellPolicy describe the multi-UE contention arm;
-	// both are omitted for single-UE campaigns (-ues-per-cell <= 1) so
-	// legacy manifests keep their historical config digest.
-	UEsPerCell int    `json:"ues_per_cell,omitempty"`
-	CellPolicy string `json:"cell_policy,omitempty"`
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("campaign: ")
 	out := flag.String("out", "traces", "directory for traces and manifest.json")
 	traceFormat := flag.String("trace-format", "xcol", "trace container: xcol (columnar blocks, streaming scans) or xcal (row frames)")
-	duration := flag.Duration("duration", 10*time.Second, "bulk-transfer duration per operator")
+	duration := flag.Duration("duration", 10*time.Second, "bulk-transfer duration per session")
 	seed := flag.Int64("seed", 2024, "simulation seed")
 	ops := flag.String("ops", "", "comma-separated operator acronyms (default: all mid-band)")
 	parallel := flag.Int("parallel", 0, "concurrent sessions (default: GOMAXPROCS; 1 = serial)")
@@ -104,18 +85,24 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	scenarioArg := flag.String("scenario", "", "run a declarative scenario: a shipped pack name or a spec file path (conflicts with the workload-shaping flags; see doc)")
-	quick := flag.Bool("quick", false, "shrink the -scenario to CI scale (sessions, durations, probes) before running")
+	quick := flag.Bool("quick", false, "shrink the spec (the -scenario or the flag-built campaign) to CI scale (sessions, durations, probes) before running")
 	flag.Parse()
 	if *traceFormat != "xcal" && *traceFormat != "xcol" {
 		log.Fatalf("unknown -trace-format %q (want xcal or xcol)", *traceFormat)
 	}
+	var spec *scenario.Spec
+	var err error
 	if *scenarioArg != "" {
 		if conflicts := conflictingFlags(flag.Visit); len(conflicts) > 0 {
 			log.Fatalf("-scenario provides the workload; the spec's traffic/band_plan/population/faults/sessions sections own %s — drop the flag(s) or edit the spec",
 				strings.Join(conflicts, ", "))
 		}
-	} else if *quick {
-		log.Fatal("-quick only applies to -scenario runs")
+		spec, err = scenario.Load(*scenarioArg)
+	} else {
+		spec, err = flagSpec(*ops, *duration, *faults, *uesPerCell, *cellPolicy)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	stopProf, err := obs.StartProfiles(*cpuProfile, *memProfile)
@@ -128,16 +115,6 @@ func main() {
 		}
 	}()
 
-	var selected []operators.Operator
-	if *ops != "" {
-		for _, acr := range strings.Split(*ops, ",") {
-			op, err := operators.ByAcronym(strings.TrimSpace(acr))
-			if err != nil {
-				log.Fatal(err)
-			}
-			selected = append(selected, op)
-		}
-	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
 	}
@@ -173,103 +150,7 @@ func main() {
 		defer stop()
 	}
 
-	if *scenarioArg != "" {
-		runScenario(*scenarioArg, *quick, *out, *traceFormat, *seed, *parallel, &m, t0)
-		return
-	}
-
-	opNames := make([]string, 0, len(selected))
-	for _, op := range selected {
-		opNames = append(opNames, op.Acronym)
-	}
-	if len(opNames) == 0 {
-		for _, op := range operators.MidBand() {
-			opNames = append(opNames, op.Acronym)
-		}
-	}
-	sched, err := fault.ParseSpec(*faults)
-	if err != nil {
-		log.Fatal(err)
-	}
-	policy, err := gnb.ParsePolicy(*cellPolicy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mc := manifestConfig{
-		Operators:       opNames,
-		DurationSeconds: duration.Seconds(),
-		Seed:            *seed,
-		Faults:          *faults,
-	}
-	if *uesPerCell > 1 {
-		mc.UEsPerCell = *uesPerCell
-		mc.CellPolicy = policy.String()
-	}
-	manifest, err := obs.NewManifest("campaign", mc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	manifest.Seed = *seed
-	manifest.Workers = fleet.EffectiveWorkers(*parallel)
-
-	stats, err := core.RunCampaign(core.CampaignConfig{
-		Operators:       selected,
-		SessionDuration: *duration,
-		TraceDir:        *out,
-		TraceFormat:     *traceFormat,
-		Seed:            *seed,
-		Workers:         *parallel,
-		Faults:          sched,
-		UEsPerCell:      *uesPerCell,
-		CellPolicy:      policy,
-		Metrics:         &m,
-		Progress: func(done, total int, key string) {
-			fmt.Fprintf(os.Stderr, "campaign: [%d/%d] %s (%.1fs)\n", done, total, key, time.Since(t0).Seconds()) //detlint:allow walltime stderr progress line, not part of campaign output
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(t0).Seconds() //detlint:allow walltime manifest wall-cost field, excluded from the config digest
-
-	manifest.WallSeconds = elapsed
-	manifest.JobsDone = m.JobsDone.Load()
-	manifest.SlotsSimulated = m.SlotsSimulated.Load()
-	manifest.TraceBytes = m.TraceBytes.Load()
-	manifest.Retries = m.Retries.Load()
-	manifest.BackoffSimNs = int64(stats.BackoffSim)
-	for _, f := range stats.Failures {
-		manifest.Failures = append(manifest.Failures, obs.SessionFailure{
-			Key:      f.Key,
-			Operator: f.Operator,
-			Session:  f.Session,
-			Attempts: f.Attempts,
-			Stage:    f.Stage,
-			Err:      f.Err,
-		})
-		fmt.Fprintf(os.Stderr, "campaign: session %s failed after %d attempt(s): %s (%s)\n",
-			f.Key, f.Attempts, f.Stage, f.Err)
-	}
-	for _, s := range stats.Sessions {
-		if s.TracePath != "" {
-			manifest.Outputs = append(manifest.Outputs, filepath.Base(s.TracePath))
-		}
-	}
-	manifestPath := filepath.Join(*out, "manifest.json")
-	if err := obs.WriteManifest(manifestPath, manifest); err != nil {
-		log.Fatal(err)
-	}
-
-	if n := len(stats.Failures); n > 0 {
-		fmt.Fprintf(os.Stderr, "campaign: %d session(s) lost to injected faults (%d retries, %v simulated backoff)\n",
-			n, m.Retries.Load(), stats.BackoffSim)
-	}
-	slots := float64(m.SlotsSimulated.Load())
-	fmt.Fprintf(os.Stderr, "campaign: %d sessions, %.2fM slots (%.2fM slots/s), %.1f KB traces, %.1fs wall\n",
-		m.JobsDone.Load(), slots/1e6, slots/1e6/elapsed, float64(m.TraceBytes.Load())/1e3, elapsed)
-	report.Table1(os.Stdout, stats)
-	report.MultiUE(os.Stdout, stats.MultiUE)
-	fmt.Printf("\n%d traces written to %s (manifest: %s)\n", stats.TraceFiles, *out, manifestPath)
+	runScenario(spec, *quick, *out, *traceFormat, *seed, *parallel, &m, t0)
 }
 
 // scenarioConflictFlags are the workload-shaping flags a -scenario spec
@@ -292,18 +173,36 @@ func conflictingFlags(visit func(func(*flag.Flag))) []string {
 	return out
 }
 
-// loadScenario resolves the -scenario argument: a shipped pack name
-// first, then a spec file path through the same strict decoder.
-func loadScenario(arg string) (*scenario.Spec, error) {
-	if spec, err := scenario.Pack(arg); err == nil {
-		return spec, nil
-	}
-	data, err := os.ReadFile(arg)
+// flagSpec compiles the workload-shaping flags into the bulk campaign
+// spec they describe: the named operators (trimmed; empty means the
+// mid-band registry), 3 sessions of duration each, the fault spec
+// verbatim, and the contention arm when uesPerCell > 1. cellPolicy is
+// parsed even when unused so a typo never passes silently.
+func flagSpec(ops string, duration time.Duration, faults string, uesPerCell int, cellPolicy string) (*scenario.Spec, error) {
+	policy, err := gnb.ParsePolicy(cellPolicy)
 	if err != nil {
-		return nil, fmt.Errorf("-scenario %q is neither a shipped pack (%s) nor a readable spec file: %w",
-			arg, strings.Join(scenario.PackNames(), ", "), err)
+		return nil, err
 	}
-	return scenario.Decode(data)
+	s := &scenario.Spec{
+		Schema:   scenario.SchemaVersion,
+		Name:     "campaign",
+		Traffic:  scenario.Traffic{App: scenario.AppBulk},
+		Faults:   faults,
+		Sessions: scenario.Sessions{Count: 3, DurationSec: duration.Seconds()},
+	}
+	if ops != "" {
+		for _, acr := range strings.Split(ops, ",") {
+			s.BandPlan.Operators = append(s.BandPlan.Operators, strings.TrimSpace(acr))
+		}
+	}
+	if uesPerCell > 1 {
+		s.Population = scenario.Population{UEsPerCell: uesPerCell, CellPolicy: policy.String()}
+	}
+	s.Normalize()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // scenarioManifestConfig is the digested configuration of a -scenario
@@ -314,14 +213,9 @@ type scenarioManifestConfig struct {
 	Quick    bool            `json:"quick,omitempty"`
 }
 
-// runScenario executes the -scenario path: resolve the spec, run it,
-// write the manifest (stamped with the scenario name and digest) and
-// print the scenario report.
-func runScenario(arg string, quick bool, out, traceFormat string, seed int64, parallel int, m *fleet.Metrics, t0 time.Time) {
-	spec, err := loadScenario(arg)
-	if err != nil {
-		log.Fatal(err)
-	}
+// runScenario runs a spec, writes the manifest (stamped with the
+// scenario name and digest) and prints the scenario report.
+func runScenario(spec *scenario.Spec, quick bool, out, traceFormat string, seed int64, parallel int, m *fleet.Metrics, t0 time.Time) {
 	if quick {
 		spec = spec.QuickScale()
 	}
@@ -364,19 +258,8 @@ func runScenario(arg string, quick bool, out, traceFormat string, seed int64, pa
 	manifest.TraceBytes = m.TraceBytes.Load()
 	manifest.Retries = m.Retries.Load()
 	manifest.BackoffSimNs = int64(res.BackoffSim)
-	failures := res.Failures
-	if res.Bulk != nil {
-		failures = res.Bulk.Failures
-	}
-	for _, f := range failures {
-		manifest.Failures = append(manifest.Failures, obs.SessionFailure{
-			Key:      f.Key,
-			Operator: f.Operator,
-			Session:  f.Session,
-			Attempts: f.Attempts,
-			Stage:    f.Stage,
-			Err:      f.Err,
-		})
+	manifest.Failures = res.Failures
+	for _, f := range res.Failures {
 		fmt.Fprintf(os.Stderr, "campaign: session %s failed after %d attempt(s): %s (%s)\n",
 			f.Key, f.Attempts, f.Stage, f.Err)
 	}
@@ -396,5 +279,5 @@ func runScenario(arg string, quick bool, out, traceFormat string, seed int64, pa
 	fmt.Fprintf(os.Stderr, "campaign: scenario %s (%d jobs, %.2fM slots, %.1fs wall)\n",
 		res.Name, m.JobsDone.Load(), slots/1e6, elapsed)
 	report.Scenario(os.Stdout, res)
-	fmt.Printf("\nmanifest: %s\n", manifestPath)
+	fmt.Printf("\n%d traces written to %s (manifest: %s)\n", len(manifest.Outputs), out, manifestPath)
 }

@@ -69,20 +69,8 @@ func list() {
 	}
 }
 
-// load resolves a shipped pack name first, then a spec file path.
-func load(arg string) (*scenario.Spec, error) {
-	if s, err := scenario.Pack(arg); err == nil {
-		return s, nil
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("%q is neither a shipped pack nor a readable spec file: %w", arg, err)
-	}
-	return scenario.Decode(data)
-}
-
 func show(arg string) {
-	s, err := load(arg)
+	s, err := scenario.Load(arg)
 	if err != nil {
 		log.Fatal(err)
 	}

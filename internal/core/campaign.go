@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"github.com/midband5g/midband/internal/bands"
@@ -72,9 +71,8 @@ type CampaignConfig struct {
 	// UEsPerCell, when > 1, appends a multi-UE contention arm after the
 	// per-session measurements: each operator's primary carrier re-runs
 	// as one shared cell with this many contending UEs under CellPolicy
-	// (see RunMultiUEContext). 0 or 1 keeps the campaign — stats,
-	// traces and manifest digest — byte-identical to the legacy
-	// single-UE path.
+	// (see RunMultiUEContext). 0 or 1 keeps the campaign's stats and
+	// traces byte-identical to the single-UE path.
 	UEsPerCell int
 	// CellPolicy is the multi-UE scheduler (zero value: equal share).
 	// Only consulted when UEsPerCell > 1.
@@ -102,23 +100,6 @@ type SessionReport struct {
 	Sessions int
 }
 
-// SessionFailure records one session that still failed after the
-// campaign's bounded retries — the provenance of a hole in the
-// aggregate KPIs.
-type SessionFailure struct {
-	// Key is the fleet job key, "ACRONYM/index".
-	Key      string
-	Operator string
-	// Session is the session index within the operator.
-	Session int
-	// Attempts is how many times the session ran before giving up.
-	Attempts int
-	// Stage classifies the failure: "abort", "panic", "trace-io",
-	// "cancelled" or "error".
-	Stage string
-	Err   string
-}
-
 // CampaignStats aggregates Table 1.
 type CampaignStats struct {
 	Countries  map[string]bool
@@ -130,7 +111,7 @@ type CampaignStats struct {
 	TraceFiles int
 	// Failures lists sessions lost to injected (or genuine) faults, in
 	// submission order. Empty without fault injection.
-	Failures []SessionFailure
+	Failures []obs.SessionFailure
 	// BackoffSim is the total simulated retry backoff (never slept).
 	BackoffSim time.Duration
 	// MultiUE holds the contention-arm reports, in registry order.
@@ -243,28 +224,6 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, f
 	return sess, res, nil
 }
 
-// FailureStage classifies a session error into the provenance category
-// recorded on SessionFailure ("abort", "trace-io", "cancelled", "panic"
-// or "error"). The scenario runner shares it so both campaign paths
-// report identical categories.
-func FailureStage(err error) string { return failureStage(err) }
-
-// failureStage classifies a session error for provenance reporting.
-func failureStage(err error) string {
-	switch {
-	case errors.Is(err, fault.ErrSessionAborted):
-		return "abort"
-	case errors.Is(err, fault.ErrInjectedIO):
-		return "trace-io"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return "cancelled"
-	case strings.Contains(err.Error(), "panic:"):
-		return "panic"
-	default:
-		return "error"
-	}
-}
-
 // RunCampaign measures every configured operator once, stationary with
 // full-buffer traffic, and aggregates the dataset statistics.
 func RunCampaign(cfg CampaignConfig) (*CampaignStats, error) {
@@ -292,24 +251,20 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 		cfg.SessionsPerOperator = 3
 	}
 	spo := cfg.SessionsPerOperator
-	faultsOn := cfg.Faults != nil && cfg.Faults.Config().Active()
 
 	// One job per (operator, session index). The simulation seed is
 	// split from the base seed by (operator, session index) alone via
 	// fleet.SplitSeed — attempt-independent, so a retry replays the same
 	// channel realization; only the fault plan re-draws per attempt.
-	jobs := make([]fleet.Job[sessionOutcome], 0, len(ops)*spo)
+	jobs := make([]SessionJob[sessionOutcome], 0, len(ops)*spo)
 	for _, op := range ops {
 		for k := 0; k < spo; k++ {
 			k, op := k, op
-			key := fmt.Sprintf("%s/%d", op.Acronym, k)
-			jobs = append(jobs, fleet.Job[sessionOutcome]{
-				Key: key,
-				RunAttempt: func(_ context.Context, attempt int) (sessionOutcome, error) {
-					fs := cfg.Faults.Session(key, attempt)
-					if fs != nil && fs.Panic {
-						panic(fmt.Sprintf("fault: injected worker panic (%s, attempt %d)", key, attempt))
-					}
+			jobs = append(jobs, SessionJob[sessionOutcome]{
+				Key:      fmt.Sprintf("%s/%d", op.Acronym, k),
+				Operator: op.Acronym,
+				Session:  k,
+				Run: func(fs *fault.Session) (sessionOutcome, error) {
 					seed := fleet.SplitSeed(cfg.Seed, op.Acronym, k)
 					path := ""
 					if k == 0 && cfg.TraceDir != "" {
@@ -349,29 +304,14 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 			})
 		}
 	}
-	opts := fleet.Options{
+	ran, err := RunSessions(ctx, jobs, FanOut{
 		Workers:  cfg.Workers,
 		Metrics:  cfg.Metrics,
 		Progress: cfg.Progress,
-	}
-	var clock fleet.SimClock
-	if faultsOn {
-		// Graceful degradation: run every job, retry transients with
-		// simulated backoff, and convert surviving failures into
-		// provenance below instead of failing the campaign.
-		opts.OnError = fleet.CollectAll
-		opts.MaxAttempts = cfg.Faults.MaxAttempts()
-		opts.Clock = &clock
-	}
-	results, err := fleet.Run(ctx, jobs, opts)
+		Faults:   cfg.Faults,
+	})
 	if err != nil {
-		if !faultsOn {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			// External cancellation is not an injected fault; surface it.
-			return nil, fmt.Errorf("core: campaign cancelled: %w", ctx.Err())
-		}
+		return nil, fmt.Errorf("core: campaign: %w", err)
 	}
 
 	// Deterministic aggregation: walk operators in registry order and
@@ -380,8 +320,10 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 	// failures the float accumulation order is exactly the historical
 	// one, so fault-capable and legacy campaigns are byte-identical.
 	stats := &CampaignStats{
-		Countries: map[string]bool{},
-		Cities:    map[string]bool{},
+		Countries:  map[string]bool{},
+		Cities:     map[string]bool{},
+		Failures:   ran.Failures,
+		BackoffSim: ran.BackoffSim,
 	}
 	for i, op := range ops {
 		base := i * spo
@@ -389,26 +331,8 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 		var primary *sessionOutcome
 		nOK := 0
 		for k := 0; k < spo; k++ {
-			r := &results[base+k]
+			r := &ran.Results[base+k]
 			if r.Err != nil {
-				// Provenance keeps the error's first line only: a recovered
-				// panic carries its stack, whose goroutine IDs and addresses
-				// would break workers=1 vs workers=N byte-identity.
-				msg := r.Err.Error()
-				if nl := strings.IndexByte(msg, '\n'); nl >= 0 {
-					msg = msg[:nl]
-				}
-				stats.Failures = append(stats.Failures, SessionFailure{
-					Key:      r.Key,
-					Operator: op.Acronym,
-					Session:  k,
-					Attempts: r.Attempts,
-					Stage:    failureStage(r.Err),
-					Err:      msg,
-				})
-				if obs.Enabled() {
-					obs.Sim.SessionsFailed.Inc()
-				}
 				continue
 			}
 			o := r.Value
@@ -456,7 +380,6 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 		stats.Cities[op.City] = true
 	}
 	stats.Operators = len(ops)
-	stats.BackoffSim = clock.Now()
 	if cfg.UEsPerCell > 1 {
 		mu, err := RunMultiUEContext(ctx, MultiUEConfig{
 			Operators:  ops,

@@ -38,7 +38,7 @@ type RunManifest struct {
 
 	// Scenario names the declarative scenario the run executed and
 	// ScenarioDigest is the SHA-256 of its canonical JSON (both omitted
-	// for flag-driven runs, keeping legacy manifests byte-identical).
+	// by tools that run no scenario, such as cmd/figures).
 	Scenario       string `json:"scenario,omitempty"`
 	ScenarioDigest string `json:"scenario_digest,omitempty"`
 
@@ -73,7 +73,8 @@ type RunManifest struct {
 
 // SessionFailure is one failed campaign session's provenance as recorded
 // in the manifest: which job, how many attempts, and what class of fault
-// killed it. It mirrors core.SessionFailure (obs cannot import core).
+// killed it. core.RunSessions records it directly, so campaign results
+// and manifests carry the same records.
 type SessionFailure struct {
 	Key      string `json:"key"`
 	Operator string `json:"operator"`

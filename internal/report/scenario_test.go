@@ -7,6 +7,7 @@ import (
 
 	"github.com/midband5g/midband/internal/analysis"
 	"github.com/midband5g/midband/internal/core"
+	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/scenario"
 )
 
@@ -82,7 +83,7 @@ func TestScenarioRendersVideoGridAndFailures(t *testing.T) {
 				{Operator: "V_Sp", ABR: "bola", QoEOn: 0.585, QoEOff: 0.53, Stats: analysis.Paired{N: 2, MeanDiff: 0.055, T: 1.2}},
 			},
 		},
-		Failures: []core.SessionFailure{{Key: "v/V_Sp/bola/EDGE_ON/1", Attempts: 2, Stage: "abort"}},
+		Failures: []obs.SessionFailure{{Key: "v/V_Sp/bola/EDGE_ON/1", Attempts: 2, Stage: "abort"}},
 	}
 	out := renderScenario(res)
 	for _, want := range []string{

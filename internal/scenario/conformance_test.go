@@ -1,7 +1,7 @@
 // Scenario conformance: every shipped pack runs at Quick scale and its
 // rendered report is pinned byte-for-byte against a golden file, the
-// bulk spec path is proven equivalent to the legacy flag-built
-// campaign, and every pack is byte-identical across worker counts —
+// bulk spec path is proven equivalent to the core.RunCampaign it maps
+// to, and every pack is byte-identical across worker counts —
 // with and without fault injection. Regenerate goldens after an
 // intentional simulation change with:
 //
@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,8 +89,8 @@ func TestPackWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestBulkSpecLegacyEquivalence: a bulk spec mirroring the legacy CLI
-// flags must produce the exact CampaignStats the flag path produces —
+// TestBulkSpecLegacyEquivalence: a bulk spec must produce the exact
+// CampaignStats of the core.RunCampaign configuration it describes —
 // the scenario layer adds a schema, not a second simulator.
 func TestBulkSpecLegacyEquivalence(t *testing.T) {
 	spec, err := scenario.Decode([]byte(`{
@@ -129,6 +130,36 @@ func TestBulkSpecLegacyEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Bulk, legacy) {
 		t.Errorf("spec campaign diverged from the flag-built campaign:\nspec:   %+v\nlegacy: %+v", res.Bulk, legacy)
+	}
+}
+
+// A faulted bulk spec carries its failure provenance on Result.Failures
+// like every other app, so the rendered report lists the lost sessions.
+func TestBulkFailuresReachReport(t *testing.T) {
+	spec, err := scenario.Decode([]byte(`{
+		"schema": 1, "name": "bulk-abort",
+		"traffic": {"app": "bulk"},
+		"band_plan": {"operators": ["V_Sp", "Tmb_US"]},
+		"faults": "abort=1",
+		"sessions": {"count": 2, "duration_sec": 0.2}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := scenario.Run(context.Background(), spec, scenario.Options{Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 4 || !reflect.DeepEqual(res.Failures, res.Bulk.Failures) {
+		t.Fatalf("Result.Failures = %+v, want the 4 aborted sessions of Bulk.Failures %+v", res.Failures, res.Bulk.Failures)
+	}
+	var buf bytes.Buffer
+	report.Scenario(&buf, res)
+	out := buf.String()
+	for _, want := range []string{"failed sessions: 4", "V_Sp/0", "Tmb_US/1", "stage=abort"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("bulk report missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -328,11 +359,7 @@ func TestPackFaultSweep(t *testing.T) {
 				t.Errorf("faulted run diverges across worker counts:\n--- serial\n%s\n--- parallel\n%s", serial, parallel)
 			}
 			checkResultInvariants(t, q, res)
-			failures := res.Failures
-			if res.Bulk != nil {
-				failures = res.Bulk.Failures
-			}
-			for _, f := range failures {
+			for _, f := range res.Failures {
 				if f.Stage != "abort" && f.Stage != "panic" {
 					t.Errorf("failure %s: stage %q, want abort or panic (the only armed classes)", f.Key, f.Stage)
 				}

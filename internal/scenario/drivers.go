@@ -8,6 +8,7 @@ import (
 
 	"github.com/midband5g/midband/internal/analysis"
 	"github.com/midband5g/midband/internal/core"
+	"github.com/midband5g/midband/internal/fault"
 	"github.com/midband5g/midband/internal/fleet"
 	"github.com/midband5g/midband/internal/net5g"
 	"github.com/midband5g/midband/internal/video"
@@ -41,25 +42,23 @@ func runApp(ctx context.Context, s *Spec, opts Options, res *Result) error {
 	if err != nil {
 		return err
 	}
-	sched, err := s.Schedule()
+	fan, err := s.fanOut(opts)
 	if err != nil {
 		return err
 	}
 	count := s.Sessions.Count
 	d := s.Duration()
 
-	jobs := make([]fleet.Job[appOutcome], 0, len(ops)*count)
+	jobs := make([]core.SessionJob[appOutcome], 0, len(ops)*count)
 	for _, op := range ops {
 		for k := 0; k < count; k++ {
 			op, k := op, k
 			key := s.jobKey(op.Acronym, k)
-			jobs = append(jobs, fleet.Job[appOutcome]{
-				Key: key,
-				RunAttempt: func(_ context.Context, attempt int) (appOutcome, error) {
-					fs := sched.Session(key, attempt)
-					if fs != nil && fs.Panic {
-						panic(fmt.Sprintf("fault: injected worker panic (%s, attempt %d)", key, attempt))
-					}
+			jobs = append(jobs, core.SessionJob[appOutcome]{
+				Key:      key,
+				Operator: op.Acronym,
+				Session:  k,
+				Run: func(fs *fault.Session) (appOutcome, error) {
 					if err := maybeAbort(fs); err != nil {
 						return appOutcome{}, err
 					}
@@ -74,11 +73,11 @@ func runApp(ctx context.Context, s *Spec, opts Options, res *Result) error {
 		}
 	}
 
-	results, backoff, err := runJobs(ctx, s, opts, jobs)
+	ran, err := core.RunSessions(ctx, jobs, fan)
 	if err != nil {
-		return err
+		return fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}
-	res.BackoffSim = backoff
+	res.Failures, res.BackoffSim = ran.Failures, ran.BackoffSim
 
 	// Deterministic aggregation: operators in band-plan order, sessions
 	// in index order, so workers=1 and workers=N accumulate identically.
@@ -88,9 +87,8 @@ func runApp(ctx context.Context, s *Spec, opts Options, res *Result) error {
 		var loads, lat []float64
 		var pages float64
 		for k := 0; k < count; k++ {
-			r := &results[base+k]
+			r := &ran.Results[base+k]
 			if r.Err != nil {
-				recordFailure(res, r, op.Acronym, k)
 				continue
 			}
 			o := r.Value
@@ -303,7 +301,7 @@ func runVideoGrid(ctx context.Context, s *Spec, opts Options, res *Result) error
 	if err != nil {
 		return err
 	}
-	sched, err := s.Schedule()
+	fan, err := s.fanOut(opts)
 	if err != nil {
 		return err
 	}
@@ -315,20 +313,18 @@ func runVideoGrid(ctx context.Context, s *Spec, opts Options, res *Result) error
 	}
 	edges := []string{EdgeOn, EdgeOff}
 
-	jobs := make([]fleet.Job[videoOutcome], 0, len(ops)*len(v.ABRs)*len(edges)*count)
+	jobs := make([]core.SessionJob[videoOutcome], 0, len(ops)*len(v.ABRs)*len(edges)*count)
 	for _, op := range ops {
 		for _, abr := range v.ABRs {
 			for _, edge := range edges {
 				for k := 0; k < count; k++ {
 					op, abr, edge, k := op, abr, edge, k
 					key := fmt.Sprintf("%s/%s/%s/%s/%d", s.Name, op.Acronym, abr, edge, k)
-					jobs = append(jobs, fleet.Job[videoOutcome]{
-						Key: key,
-						RunAttempt: func(_ context.Context, attempt int) (videoOutcome, error) {
-							fs := sched.Session(key, attempt)
-							if fs != nil && fs.Panic {
-								panic(fmt.Sprintf("fault: injected worker panic (%s, attempt %d)", key, attempt))
-							}
+					jobs = append(jobs, core.SessionJob[videoOutcome]{
+						Key:      key,
+						Operator: op.Acronym,
+						Session:  k,
+						Run: func(fs *fault.Session) (videoOutcome, error) {
 							if err := maybeAbort(fs); err != nil {
 								return videoOutcome{}, err
 							}
@@ -386,11 +382,11 @@ func runVideoGrid(ctx context.Context, s *Spec, opts Options, res *Result) error
 		}
 	}
 
-	results, backoff, err := runJobs(ctx, s, opts, jobs)
+	ran, err := core.RunSessions(ctx, jobs, fan)
 	if err != nil {
-		return err
+		return fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}
-	res.BackoffSim = backoff
+	res.Failures, res.BackoffSim = ran.Failures, ran.BackoffSim
 
 	vres := &VideoResult{Ladder: v.Ladder, ChunkSec: v.ChunkSec, HitRatio: v.Edge.HitRatio}
 	idx := 0
@@ -400,10 +396,9 @@ func runVideoGrid(ctx context.Context, s *Spec, opts Options, res *Result) error
 			for e, edge := range edges {
 				cell := VideoCell{Operator: op.Acronym, ABR: abr, Edge: edge}
 				for k := 0; k < count; k++ {
-					r := &results[idx]
+					r := &ran.Results[idx]
 					idx++
 					if r.Err != nil {
-						recordFailure(res, r, op.Acronym, k)
 						cell.QoEs = append(cell.QoEs, math.NaN())
 						continue
 					}

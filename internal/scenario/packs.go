@@ -1,6 +1,10 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+	"strings"
+)
 
 // The compiled-in pack library. Every pack is stored as the JSON it
 // would live in on disk and goes through the same strict Decode path a
@@ -109,6 +113,20 @@ func Pack(name string) (*Spec, error) {
 		return nil, fmt.Errorf("scenario: pack %s: %w", name, err)
 	}
 	return s, nil
+}
+
+// Load resolves a command-line spec argument: a shipped pack name
+// first, then a spec file path through the same strict Decode.
+func Load(arg string) (*Spec, error) {
+	if _, ok := packSources[arg]; ok {
+		return Pack(arg)
+	}
+	data, err := os.ReadFile(arg)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %q is neither a shipped pack (%s) nor a readable spec file: %w",
+			arg, strings.Join(PackNames(), ", "), err)
+	}
+	return Decode(data)
 }
 
 // Packs decodes the whole library in sorted name order.

@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/midband5g/midband/internal/analysis"
@@ -123,8 +122,7 @@ type Result struct {
 	Digest string
 	App    string
 
-	// Bulk holds the legacy campaign statistics (AppBulk only). Its
-	// failure provenance lives in Bulk.Failures.
+	// Bulk holds the campaign statistics (AppBulk only).
 	Bulk *core.CampaignStats
 	// Reports holds per-operator app KPIs (web, voip, gaming, uplink).
 	Reports []AppReport
@@ -133,16 +131,17 @@ type Result struct {
 
 	// MultiUE is the contention arm, in band-plan order.
 	MultiUE []core.MultiUEReport
-	// Failures lists app/video sessions lost to faults after retries,
-	// in submission order (bulk failures live in Bulk.Failures).
-	Failures []core.SessionFailure
+	// Failures lists sessions lost to faults after retries, in
+	// submission order, for every app (bulk included).
+	Failures []obs.SessionFailure
 	// BackoffSim is the total simulated retry backoff.
 	BackoffSim time.Duration
 }
 
-// CampaignConfig maps a bulk spec onto the legacy campaign
-// configuration — the bridge that makes a spec mirroring today's CLI
-// flags produce a DeepEqual campaign (conformance_test.go pins it).
+// CampaignConfig maps a bulk spec onto the core campaign configuration
+// — the bridge cmd/campaign's compiled flags run through, pinned to a
+// DeepEqual campaign by conformance_test.go and cmd/campaign's
+// TestFlagSpecEquivalence.
 func (s *Spec) CampaignConfig(opts Options) (core.CampaignConfig, error) {
 	if s.Traffic.App != AppBulk {
 		return core.CampaignConfig{}, fmt.Errorf("scenario: %s: app %q has no campaign mapping", s.Name, s.Traffic.App)
@@ -179,10 +178,10 @@ func (s *Spec) CampaignConfig(opts Options) (core.CampaignConfig, error) {
 	return cfg, nil
 }
 
-// Run executes the scenario: one fleet job per arm session, aggregated
-// in spec order so results are byte-identical for any Workers value,
-// with the spec's fault schedule (if any) driving graceful degradation
-// exactly as the legacy campaign does.
+// Run executes the scenario: one fleet job per arm session through
+// core.RunSessions, aggregated in spec order so results are
+// byte-identical for any Workers value, with the spec's fault schedule
+// (if any) driving graceful degradation.
 func Run(ctx context.Context, s *Spec, opts Options) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -206,6 +205,7 @@ func Run(ctx context.Context, s *Spec, opts Options) (*Result, error) {
 		}
 		res.Bulk = stats
 		res.MultiUE = stats.MultiUE
+		res.Failures = stats.Failures
 		res.BackoffSim = stats.BackoffSim
 		return res, nil
 	case AppVideo:
@@ -244,58 +244,16 @@ func Run(ctx context.Context, s *Spec, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runJobs fans session jobs over the fleet with the campaign's
-// graceful-degradation contract: with faults armed every job runs,
-// transients retry with simulated backoff, and survivors become
-// failure provenance. Results come back in submission order.
-func runJobs[T any](ctx context.Context, s *Spec, opts Options, jobs []fleet.Job[T]) ([]fleet.Result[T], time.Duration, error) {
+// fanOut is the session fan-out configuration shared by the app and
+// video drivers.
+func (s *Spec) fanOut(opts Options) (core.FanOut, error) {
 	sched, err := s.Schedule()
-	if err != nil {
-		return nil, 0, err
-	}
-	fopts := fleet.Options{
+	return core.FanOut{
 		Workers:  opts.Workers,
 		Metrics:  opts.Metrics,
 		Progress: opts.Progress,
-	}
-	var clock fleet.SimClock
-	faultsOn := sched != nil
-	if faultsOn {
-		fopts.OnError = fleet.CollectAll
-		fopts.MaxAttempts = sched.MaxAttempts()
-		fopts.Clock = &clock
-	}
-	results, err := fleet.Run(ctx, jobs, fopts)
-	if err != nil {
-		if !faultsOn {
-			return nil, 0, fmt.Errorf("scenario: %s: %w", s.Name, err)
-		}
-		if ctx.Err() != nil {
-			return nil, 0, fmt.Errorf("scenario: %s cancelled: %w", s.Name, ctx.Err())
-		}
-	}
-	return results, clock.Now(), nil
-}
-
-// recordFailure converts one failed fleet result into provenance on res.
-func recordFailure[T any](res *Result, r *fleet.Result[T], op string, session int) {
-	msg := r.Err.Error()
-	if nl := strings.IndexByte(msg, '\n'); nl >= 0 {
-		// First line only: recovered panic stacks carry goroutine IDs
-		// that would break workers=1 vs workers=N byte-identity.
-		msg = msg[:nl]
-	}
-	res.Failures = append(res.Failures, core.SessionFailure{
-		Key:      r.Key,
-		Operator: op,
-		Session:  session,
-		Attempts: r.Attempts,
-		Stage:    core.FailureStage(r.Err),
-		Err:      msg,
-	})
-	if obs.Enabled() {
-		obs.Sim.SessionsFailed.Inc()
-	}
+		Faults:   sched,
+	}, err
 }
 
 func (s *Spec) cellPolicy() (gnb.SchedulerPolicy, error) {

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -476,12 +477,15 @@ func (s *Spec) route(seed int64) operators.Scenario {
 }
 
 // Duration returns the per-session workload duration: the sessions
-// section's for app workloads, the media length for video.
+// section's for app workloads, the media length for video. Seconds
+// round to the nearest nanosecond, so a duration written as
+// time.Duration.Seconds() (1.001 for 1001ms) comes back exactly.
 func (s *Spec) Duration() time.Duration {
+	sec := s.Sessions.DurationSec
 	if s.Traffic.App == AppVideo && s.Video != nil {
-		return time.Duration(s.Video.MediaSec * float64(time.Second))
+		sec = s.Video.MediaSec
 	}
-	return time.Duration(s.Sessions.DurationSec * float64(time.Second))
+	return time.Duration(math.Round(sec * float64(time.Second)))
 }
 
 // Schedule parses the embedded fault spec (nil when empty). The spec

@@ -279,3 +279,19 @@ func TestStampManifest(t *testing.T) {
 		t.Errorf("manifest stamped as (%q, %q), want (voip, %s)", m.Scenario, m.ScenarioDigest, digest)
 	}
 }
+
+// Duration must return exactly the time.Duration whose Seconds() the
+// spec holds, so a flag like -duration 1.001s survives the trip through
+// sessions.duration_sec: truncating sec*1e9 would give 1.000999999s.
+func TestDurationExact(t *testing.T) {
+	s := &Spec{Traffic: Traffic{App: AppBulk}, Sessions: Sessions{DurationSec: 1.001}}
+	if got := s.Duration(); got != 1001*time.Millisecond {
+		t.Errorf("Duration() for 1.001 s = %v, want 1.001s", got)
+	}
+	for d := time.Duration(0); d <= time.Hour; d += time.Millisecond {
+		s.Sessions.DurationSec = d.Seconds()
+		if got := s.Duration(); got != d {
+			t.Fatalf("Duration() for %v (%v s) = %v", d, d.Seconds(), got)
+		}
+	}
+}
