@@ -82,30 +82,47 @@ func benchUEs(n int) []channel.Point {
 // sizes on Cell.Step's structure-of-arrays engine. Each size reports ns/UE-slot, the
 // per-UE cost of one scheduled slot; the curve should bend DOWN as the
 // population grows (shared per-slot work amortizes), which is what the
-// bench gate watches.
+// bench gate watches. The episodes/ues=N sizes add the mid-band
+// registry's degradation-episode process to every UE channel, as the
+// real operator profiles do.
 func BenchmarkCellMultiUE(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("ues=%d", n), func(b *testing.B) {
-			cell, err := NewCell(CellConfig{
-				Carrier: benchCarrierConfig(),
-				UEs:     benchUEs(n),
-				Policy:  SchedulerProportionalFair,
-				Model:   CellModelContention,
-				Seed:    31,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var sink CellSlot
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink = cell.Step()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/UE-slot")
-			_ = sink
+			benchCellMultiUE(b, benchCarrierConfig(), n)
 		})
 	}
+	episodes := benchCarrierConfig()
+	episodes.Channel.Episodes = &channel.EpisodeConfig{
+		RatePerSec: 1.0 / 80, MeanSeconds: 14, MinDepthDB: 5, MaxDepthDB: 15,
+	}
+	for _, n := range []int{64, 256} {
+		b.Run(fmt.Sprintf("episodes/ues=%d", n), func(b *testing.B) {
+			benchCellMultiUE(b, episodes, n)
+		})
+	}
+}
+
+// benchCellMultiUE steps an n-UE proportional-fair contention cell on
+// carrier and reports ns/UE-slot.
+func benchCellMultiUE(b *testing.B, carrier CarrierConfig, n int) {
+	cell, err := NewCell(CellConfig{
+		Carrier: carrier,
+		UEs:     benchUEs(n),
+		Policy:  SchedulerProportionalFair,
+		Model:   CellModelContention,
+		Seed:    31,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink CellSlot
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = cell.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/UE-slot")
+	_ = sink
 }
 
 // TestCellStepAllocs pins the share model's steady-state slot loop at

@@ -435,10 +435,6 @@ func (c *Carrier) Slot() int64 { return c.slot }
 // RLFs returns the number of injected radio-link failures so far.
 func (c *Carrier) RLFs() int64 { return c.rlfCount }
 
-// InRLF reports whether data is currently interrupted by a radio-link
-// failure (RRC re-establishment in progress).
-func (c *Carrier) InRLF() bool { return c.slot < c.rlfUntil }
-
 // SlotDuration returns the slot length.
 func (c *Carrier) SlotDuration() time.Duration { return c.cfg.Numerology.SlotDuration() }
 

@@ -86,17 +86,6 @@ func (r *RRC) Touch(now time.Duration) time.Duration {
 	}
 }
 
-// Reestablish models the RRC re-establishment a radio-link failure
-// triggers: whatever the current state, the connection drops back to
-// connecting at time now and the promotion delay must elapse again
-// before data flows. It returns that delay, mirroring Touch.
-func (r *RRC) Reestablish(now time.Duration) time.Duration {
-	r.state = RRCConnecting
-	r.stateSince = now
-	r.lastActivity = now
-	return r.cfg.PromotionDelay
-}
-
 // Tick advances time, completing promotions and applying the inactivity
 // timeout.
 func (r *RRC) Tick(now time.Duration) {

@@ -12,7 +12,10 @@
 # The benchmark set is the per-slot hot path: channel fading step, TBS
 # lookup (direct and memoized), the full carrier scheduler step, the
 # multi-UE population curve (Cell.Step's SoA engine at 4/16/64/256 UEs,
-# reporting ns/UE-slot), the aggregated link step, the columnar
+# reporting ns/UE-slot, plus episodes/ues=64 and episodes/ues=256 with
+# the mid-band operators' degradation-episode process on every UE
+# channel, the traffic the cell64 end-to-end workload steps), the
+# aggregated link step, the columnar
 # trace pipeline (block encode on the write side, projected block
 # decode on the scan side, reporting ns/record), and one Quick-scale
 # scenario pack end to end (the scenario-runner smoke). Use -count via
