@@ -257,6 +257,8 @@ func TestFlagSpecRejects(t *testing.T) {
 		{"bad policy", flagRun{duration: time.Second, uesPerCell: 1, cellPolicy: "bogus"}, "bogus"},
 		{"bad op", flagRun{ops: "V_Sp,Nope", duration: time.Second, uesPerCell: 1, cellPolicy: "pf"}, "Nope"},
 		{"bad faults", flagRun{duration: time.Second, faults: "abort=2", uesPerCell: 1, cellPolicy: "pf"}, "abort"},
+		{"too many ues", flagRun{duration: time.Second, uesPerCell: 1e8, cellPolicy: "pf"}, "ues_per_cell 100000000 exceeds the limit"},
+		{"too long", flagRun{duration: 24 * time.Hour, uesPerCell: 1, cellPolicy: "pf"}, "simulated seconds exceeds the limit"},
 	}
 	for _, c := range cases {
 		f := c.f

@@ -8,6 +8,7 @@ import (
 
 	"github.com/midband5g/midband/internal/fault"
 	"github.com/midband5g/midband/internal/obs"
+	"github.com/midband5g/midband/internal/phy"
 )
 
 // Config parameterizes a per-carrier radio channel process.
@@ -279,8 +280,8 @@ func New(cfg Config) (*Channel, error) {
 
 	ch.dt = cfg.SlotDuration.Seconds()
 	ch.k = computeKernel(cfg, ch.dt, cfg.Route.SpeedMPS)
-	ch.noiseMW = math.Pow(10, cfg.NoisePerREdBm/10)
-	ch.floorMW = math.Pow(10, cfg.OtherCellInterferenceDBm/10)
+	ch.noiseMW = phy.DBToLinear(cfg.NoisePerREdBm)
+	ch.floorMW = phy.DBToLinear(cfg.OtherCellInterferenceDBm)
 	if n := len(cfg.Route.Waypoints); n > 1 {
 		ch.segs = make([]float64, n-1)
 		for i := 1; i < n; i++ {
@@ -550,7 +551,7 @@ func RSRQFromSINR(sinrDB float64) float64 {
 	if math.IsInf(sinrDB, -1) {
 		return -20
 	}
-	sinr := math.Pow(10, sinrDB/10)
+	sinr := phy.DBToLinear(sinrDB)
 	rsrq := -10.79 - 10*math.Log10(1+1/sinr)
 	return math.Max(-20, math.Min(-3, rsrq))
 }

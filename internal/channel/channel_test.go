@@ -211,19 +211,19 @@ func TestRoutePosition(t *testing.T) {
 func TestPathLossMonotone(t *testing.T) {
 	prev := 0.0
 	for d := 10.0; d < 2000; d *= 1.5 {
-		pl := PathLossDB(d, 3500)
+		pl := pathLossDB(d, 3500)
 		if pl <= prev {
 			t.Errorf("path loss at %gm = %g not increasing", d, pl)
 		}
 		prev = pl
 	}
 	// mmWave at 28 GHz pays ≈ 18 dB more than 3.5 GHz at equal distance.
-	diff := PathLossDB(100, 28000) - PathLossDB(100, 3500)
+	diff := pathLossDB(100, 28000) - pathLossDB(100, 3500)
 	if math.Abs(diff-20*math.Log10(8)) > 1e-9 {
 		t.Errorf("FR2 penalty = %g dB, want %g", diff, 20*math.Log10(8))
 	}
 	// Distances below 10 m clamp.
-	if PathLossDB(1, 3500) != PathLossDB(10, 3500) {
+	if pathLossDB(1, 3500) != pathLossDB(10, 3500) {
 		t.Error("sub-10m distances should clamp")
 	}
 }

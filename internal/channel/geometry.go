@@ -9,6 +9,8 @@ package channel
 import (
 	"fmt"
 	"math"
+
+	"github.com/midband5g/midband/internal/phy"
 )
 
 // Point is a 2D position in meters.
@@ -76,10 +78,9 @@ func (d Deployment) Validate() error {
 // p at carrier frequency fcMHz and the corresponding received per-RE power
 // (dBm), plus the total interference power (mW) from all other sites.
 // powers is caller-provided scratch (len ≥ len(d.Sites)) so the per-slot
-// hot path allocates nothing. PathLossDB's frequency term is computed once
-// per scan rather than once per site; the 10 m clamp and the addition
-// order are PathLossDB's, so every per-site loss is bit-identical to
-// PathLossDB(distance, fcMHz).
+// hot path allocates nothing. Path loss is a 3GPP UMa-style line-of-sight
+// model, 28.0 + 22·log10(d) + 20·log10(fc_GHz) with a 10 m minimum
+// distance; its frequency term is computed once per scan.
 //
 //detlint:zeroalloc
 func (d Deployment) strongestSite(p Point, fcMHz float64, powers []float64) (idx int, rsrpDBm float64, interfMW float64) {
@@ -101,17 +102,8 @@ func (d Deployment) strongestSite(p Point, fcMHz float64, powers []float64) (idx
 	}
 	for i, rx := range powers {
 		if i != idx {
-			interfMW += math.Pow(10, rx/10)
+			interfMW += phy.DBToLinear(rx)
 		}
 	}
 	return idx, best, interfMW
-}
-
-// PathLossDB is a 3GPP UMa-style line-of-sight path-loss model:
-// 28.0 + 22·log10(d) + 20·log10(fc_GHz), with a 10 m minimum distance.
-func PathLossDB(dMeters, fcMHz float64) float64 {
-	if dMeters < 10 {
-		dMeters = 10
-	}
-	return 28.0 + 22*math.Log10(dMeters) + 20*math.Log10(fcMHz/1000)
 }

@@ -51,7 +51,16 @@ func routePosition(r Route, tSec float64) Point {
 	return r.Waypoints[len(r.Waypoints)-1]
 }
 
-// referenceStrongestSite is the site scan as first written: PathLossDB and
+// pathLossDB is strongestSite's path-loss model written out per site:
+// 28.0 + 22·log10(d) + 20·log10(fc_GHz), with a 10 m minimum distance.
+func pathLossDB(dMeters, fcMHz float64) float64 {
+	if dMeters < 10 {
+		dMeters = 10
+	}
+	return 28.0 + 22*math.Log10(dMeters) + 20*math.Log10(fcMHz/1000)
+}
+
+// referenceStrongestSite is the site scan as first written: pathLossDB and
 // a dB→mW pow per site, nothing hoisted. The production strongestSite
 // must match it bit for bit.
 func referenceStrongestSite(d Deployment, p Point, fcMHz float64) (idx int, rsrpDBm float64, interfMW float64) {
@@ -59,7 +68,7 @@ func referenceStrongestSite(d Deployment, p Point, fcMHz float64) (idx int, rsrp
 	idx = -1
 	powers := make([]float64, len(d.Sites))
 	for i, s := range d.Sites {
-		rx := d.TxPowerDBmPerRE - PathLossDB(p.Distance(s), fcMHz)
+		rx := d.TxPowerDBmPerRE - pathLossDB(p.Distance(s), fcMHz)
 		powers[i] = rx
 		if rx > best {
 			best = rx

@@ -99,11 +99,21 @@ func (c *referenceChannel) step() Sample {
 		Pos:         pos,
 		ServingCell: cell,
 		RSRPdBm:     rsrp - blockLossDB,
-		RSRQdB:      RSRQFromSINR(sinrRSRQ),
+		RSRQdB:      referenceRSRQ(sinrRSRQ),
 		SINRdB:      sinrDB,
 		LOS:         los,
 		Outage:      outage,
 	}
+}
+
+// referenceRSRQ is RSRQFromSINR with math.Pow for the dB→linear step, so
+// referenceChannel checks the production kernel's RSRQ independently.
+func referenceRSRQ(sinrDB float64) float64 {
+	if math.IsInf(sinrDB, -1) {
+		return -20
+	}
+	rsrq := -10.79 - 10*math.Log10(1+1/math.Pow(10, sinrDB/10))
+	return math.Max(-20, math.Min(-3, rsrq))
 }
 
 // kernelTrajectories covers all the specialized paths of the optimized

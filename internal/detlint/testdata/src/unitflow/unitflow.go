@@ -4,7 +4,11 @@
 // dBm−dBm link-budget idioms are not.
 package unitflow
 
-import "math"
+import (
+	"math"
+
+	"sim/internal/phy"
+)
 
 // Sample mirrors the channel KPI struct: units live in field names.
 type Sample struct {
@@ -45,6 +49,27 @@ func BadArg(scskHz float64) int {
 // BadDouble converts an already-linear power a second time.
 func BadDouble(noiseMW float64) float64 {
 	return math.Pow(10, noiseMW/10) // want "unitflow: 10\^\(x/10\) applied to a mW value"
+}
+
+// BadDoubleKernel converts an already-linear power a second time through
+// the production kernel.
+func BadDoubleKernel(noiseMW float64) float64 {
+	return phy.DBToLinear(noiseMW) // want "unitflow: 10\^\(x/10\) applied to a mW value"
+}
+
+// BadKernelAssign stores the kernel's mW result in a dB variable: the
+// kernel turns a dBm argument into mW.
+func BadKernelAssign(rsrpDBm float64) float64 {
+	var lossDB float64
+	lossDB = phy.DBToLinear(rsrpDBm) // want "unitflow: assigning a mW expression to lossDB, declared dB"
+	return lossDB
+}
+
+// BadKernelRatio stores a dB gain's linear ratio in a mW variable.
+func BadKernelRatio(gainDB float64) float64 {
+	var powMW float64
+	powMW = phy.DBToLinear(gainDB) // want "unitflow: assigning a linear expression to powMW, declared mW"
+	return powMW
 }
 
 // BadLog takes the log of a value already in the log domain.
@@ -100,6 +125,12 @@ func GoodDelta(sigDBm, noiseDBm float64) float64 {
 // each conversion applied exactly once.
 func GoodRoundTrip(aDBm, bDBm float64) float64 {
 	sumMW := math.Pow(10, aDBm/10) + math.Pow(10, bDBm/10)
+	return 10 * math.Log10(sumMW)
+}
+
+// GoodKernelRoundTrip is GoodRoundTrip through the production kernel.
+func GoodKernelRoundTrip(aDBm, bDBm float64) float64 {
+	sumMW := phy.DBToLinear(aDBm) + phy.DBToLinear(bDBm)
 	return 10 * math.Log10(sumMW)
 }
 

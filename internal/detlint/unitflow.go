@@ -36,8 +36,8 @@ import (
 //   - comparing or assigning incompatible units (dBm vs dB, MHz vs kHz);
 //   - passing an argument whose unit contradicts the parameter's name
 //     suffix (kHz value into a ...MHz parameter);
-//   - double-applied conversions: 10^(x/10) of an already-linear value,
-//     or log10 of a log-domain value.
+//   - double-applied conversions: 10^(x/10) (math.Pow or phy.DBToLinear)
+//     of an already-linear value, or log10 of a log-domain value.
 //
 // dBm ± dB (offsetting an absolute level) and dBm − dBm (a level
 // difference, yielding dB) are the correct idioms and stay silent.
@@ -367,7 +367,7 @@ func (e *unitEnv) unitOfCall(call *ast.CallExpr) unit {
 	if tv, ok := e.pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		return e.unitOf(call.Args[0]) // conversion preserves the unit
 	}
-	if num := pow1010Arg(e.pass.Info, call); num != nil {
+	if num := toLinearArg(e.pass.Info, call); num != nil {
 		switch e.unitOf(num) {
 		case unitDBm:
 			return unitMW
@@ -393,9 +393,14 @@ func (e *unitEnv) unitOfCall(call *ast.CallExpr) unit {
 	return unitUnknown
 }
 
-// pow1010Arg matches math.Pow(10, x/10) and math.Pow(10, x/20) and
-// returns the numerator x, or nil when the call is not that idiom.
-func pow1010Arg(info *types.Info, call *ast.CallExpr) ast.Expr {
+// toLinearArg matches the dB→linear conversions phy.DBToLinear(x) and
+// math.Pow(10, x/10|x/20) and returns x, or nil for any other call.
+func toLinearArg(info *types.Info, call *ast.CallExpr) ast.Expr {
+	if fn := calleeFunc(info, call); fn != nil && fn.Name() == "DBToLinear" && fn.Pkg() != nil {
+		if segs := internalSegments(fn.Pkg().Path()); len(segs) == 1 && segs[0] == "phy" && len(call.Args) == 1 {
+			return call.Args[0]
+		}
+	}
 	if !isMathCall(info, call, "Pow") || len(call.Args) != 2 || !isConstTen(info, call.Args[0]) {
 		return nil
 	}
@@ -616,7 +621,7 @@ func (e *unitEnv) checkBinary(be *ast.BinaryExpr) {
 // checkCall flags argument units that contradict the parameter's name
 // suffix and double-applied dB↔linear conversions.
 func (e *unitEnv) checkCall(call *ast.CallExpr) {
-	if num := pow1010Arg(e.pass.Info, call); num != nil {
+	if num := toLinearArg(e.pass.Info, call); num != nil {
 		switch e.unitOf(num) {
 		case unitMW, unitLin, unitHz, unitKHz, unitMHz:
 			e.pass.Report(call.Pos(), fmt.Sprintf(

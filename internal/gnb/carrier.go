@@ -259,9 +259,9 @@ func newAMCDerived(csiCfg ue.CSIConfig, cfg CarrierConfig) amcDerived {
 		a.layerPenaltyDB[r] = 10 * exp * math.Log10(float64(r))
 		a.rankPow[r] = math.Pow(float64(r), exp)
 	}
-	a.optimismLin = math.Pow(10, csiCfg.CQIOptimismDB/10)
-	a.ulDerateLin = math.Pow(10, -cfg.ULSINROffsetDB/10)
-	a.ulBackoffLin = math.Pow(10, -ulBackoffDB/10)
+	a.optimismLin = phy.DBToLinear(csiCfg.CQIOptimismDB)
+	a.ulDerateLin = phy.DBToLinear(-cfg.ULSINROffsetDB)
+	a.ulBackoffLin = phy.DBToLinear(-ulBackoffDB)
 	return a
 }
 
@@ -308,11 +308,6 @@ type Carrier struct {
 	amc     amcDerived
 	tbs     *phy.TBSCache
 	maxMCS  int // cfg.MCSTable.MaxIndex(), hoisted off the dither path
-
-	// pow memoizes 10^(ollaDB/10) over the outer loop's recent values
-	// (see powCache); misses recompute with the exact expression newTB
-	// used inline, so the memo is bit-identical.
-	pow powCache
 
 	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
 	// newTB indexes a flat array instead of calling Lookup (with its
@@ -372,7 +367,6 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 		maxMCS:  int(cfg.MCSTable.MaxIndex()),
 		rlf:     fault.NewRLFState(cfg.Fault),
 	}
-	c.pow = newPowCache(1)
 	for cqi := phy.CQI(1); cqi <= phy.MaxCQI; cqi++ {
 		if row, err := csiCfg2.Table.Lookup(cqi); err == nil {
 			c.effByCQI[cqi] = row.Efficiency
@@ -612,13 +606,6 @@ func (c *Carrier) transmit(store *Alloc, queue *[]harqJob, slot int64, symbols i
 	return store
 }
 
-// ollaPow returns 10^(ollaDB/10), memoized (see powCache).
-//
-//detlint:zeroalloc
-func (c *Carrier) ollaPow() float64 {
-	return c.pow.pow10(c.ollaDB)
-}
-
 // newTB builds a fresh transport block from the CSI in effect.
 //
 //detlint:zeroalloc
@@ -667,7 +654,7 @@ func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report
 			eff = math.Log2(1+perLayerLin) * c.amc.ulBackoffLin
 		}
 	} else {
-		eff *= c.ollaPow()
+		eff *= phy.DBToLinear(c.ollaDB)
 	}
 	mcs := table.HighestMCSForEfficiency(eff)
 

@@ -145,10 +145,6 @@ type Cell struct {
 	// they live in parallel slices rather than inside cellUE.
 	olla   []float64 // OLLA offsets (dB)
 	served []float64 // PF-smoothed served rates (bits/slot)
-	// pow memoizes 10^(olla/10) (see powCache). The value depends only
-	// on the offset's bits, so one table serves every UE, sized for the
-	// population so the per-UE walks don't evict each other.
-	pow powCache
 
 	// This slot's sense pass, rewritten in full by every Step: SINR and
 	// outage from the channel batch, the CSI report in effect (CQI, RI),
@@ -262,7 +258,6 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	for i := range cell.served {
 		cell.served[i] = 1
 	}
-	cell.pow = newPowCache(n)
 	cell.sinr = make([]float64, n)
 	cell.outage = make([]bool, n)
 	cell.cqi = make([]phy.CQI, n)
@@ -489,15 +484,6 @@ func (c *Cell) updatePFWindow(allocs []UEAlloc) {
 	}
 }
 
-// ollaPow returns 10^(olla[i]/10), memoized (see powCache); misses
-// recompute with the exact expression the schedulers used inline, so the
-// memoized path is bit-identical.
-//
-//detlint:zeroalloc
-func (c *Cell) ollaPow(i int) float64 {
-	return c.pow.pow10(c.olla[i])
-}
-
 func (c *Cell) dlSymbols(slot int64) int {
 	return c.dlSymTab[slot%int64(len(c.dlSymTab))]
 }
@@ -516,7 +502,7 @@ func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
 	if err != nil {
 		return Alloc{}, false
 	}
-	eff := row.Efficiency * c.ollaPow(idx)
+	eff := row.Efficiency * phy.DBToLinear(c.olla[idx])
 	mcs := cfg.MCSTable.HighestMCSForEfficiency(eff)
 	rbs := int(float64(cfg.NRB) * frac * (1 - cfg.RBJitterFrac*u.rng.Float64()))
 	if rbs < 1 {

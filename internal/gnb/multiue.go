@@ -245,7 +245,7 @@ func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, r
 	if err != nil {
 		return harqJob{}, false
 	}
-	eff := row.Efficiency * c.ollaPow(idx)
+	eff := row.Efficiency * phy.DBToLinear(c.olla[idx])
 	mcs := cfg.MCSTable.HighestMCSForEfficiency(eff)
 	tbs, err := c.tbs.TBS(symbols, rbs, mcs, report.RI)
 	if err != nil {

@@ -46,9 +46,6 @@ func (mu Numerology) SlotDuration() time.Duration {
 	return time.Millisecond >> mu
 }
 
-// SlotsPerSubframe returns the number of slots per 1 ms subframe.
-func (mu Numerology) SlotsPerSubframe() int { return 1 << mu }
-
 // SlotsPerFrame returns the number of slots per 10 ms radio frame.
 func (mu Numerology) SlotsPerFrame() int { return 10 << mu }
 

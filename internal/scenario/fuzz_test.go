@@ -36,6 +36,8 @@ func FuzzDecodeScenario(f *testing.F) {
 		`{"schema": 1, "name": "x", "unknown": true}`,
 		`{"schema": 1, "name": "x"} trailing`,
 		`{"schema": 1e300, "name": "x"}`,
+		// Hostile sizes: 10^8 UEs per cell, 10^6 sessions of 10^6 s.
+		`{"schema": 1, "name": "x", "traffic": {"app": "bulk"}, "population": {"ues_per_cell": 100000000}, "sessions": {"count": 1000000, "duration_sec": 1000000}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -251,6 +251,12 @@ func (s *Spec) Normalize() {
 	}
 }
 
+// Resource ceilings Validate checks before anything is allocated, far
+// above every shipped pack (at most 240 session-seconds) and benchmark
+// (256 UEs per cell). maxSessionSec (about 11.6 simulated days) bounds
+// duration × operators × sessions.
+const maxUEsPerCell, maxSessions, maxSessionSec = 4096, 10000, 1e6
+
 // knownApps in listing order.
 var knownApps = []string{AppBulk, AppWeb, AppVoIP, AppGaming, AppUplink, AppVideo}
 
@@ -325,6 +331,9 @@ func (s *Spec) Validate() error {
 	if s.Population.UEsPerCell < 0 {
 		return fmt.Errorf("scenario: %s: negative ues_per_cell %d", s.Name, s.Population.UEsPerCell)
 	}
+	if s.Population.UEsPerCell > maxUEsPerCell {
+		return fmt.Errorf("scenario: %s: ues_per_cell %d exceeds the limit of %d", s.Name, s.Population.UEsPerCell, maxUEsPerCell)
+	}
 	if s.Population.UEsPerCell > 1 {
 		if _, err := gnb.ParsePolicy(s.Population.CellPolicy); err != nil {
 			return fmt.Errorf("scenario: %s: %w", s.Name, err)
@@ -339,6 +348,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Sessions.Count < 1 {
 		return fmt.Errorf("scenario: %s: sessions.count %d < 1", s.Name, s.Sessions.Count)
+	}
+	if s.Sessions.Count > maxSessions {
+		return fmt.Errorf("scenario: %s: sessions.count %d exceeds the limit of %d", s.Name, s.Sessions.Count, maxSessions)
 	}
 	if app == AppVideo {
 		if s.Sessions.DurationSec != 0 {
@@ -356,6 +368,17 @@ func (s *Spec) Validate() error {
 		}
 	} else if s.Video != nil {
 		return fmt.Errorf("scenario: %s: video section set but traffic app is %q", s.Name, app)
+	}
+	sec, ops := s.Sessions.DurationSec, len(s.BandPlan.Operators) // raw: Duration() overflows on hostile values
+	if s.Video != nil {
+		sec = s.Video.MediaSec
+	}
+	if ops == 0 {
+		ops = len(operators.MidBand())
+	}
+	if total := sec * float64(ops*s.Sessions.Count); !(total <= maxSessionSec) {
+		return fmt.Errorf("scenario: %s: %g s per session × %d operators × %d sessions = %g simulated seconds exceeds the limit of %g",
+			s.Name, sec, ops, s.Sessions.Count, total, float64(maxSessionSec))
 	}
 	return nil
 }

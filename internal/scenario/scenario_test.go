@@ -80,6 +80,45 @@ func TestDecodeStructuralErrors(t *testing.T) {
 	}
 }
 
+// hostileSpec asks for 10^8 UEs per cell and 10^6 sessions of 10^6 s
+// each; it must fail validation before a run allocates anything.
+const hostileSpec = `{"schema": 1, "name": "hostile", "traffic": {"app": "bulk"},
+	"population": {"ues_per_cell": 100000000, "cell_policy": "pf"},
+	"sessions": {"count": 1000000, "duration_sec": 1000000}}`
+
+// Resource limits: the hostile spec is rejected at decode time, and
+// the smallest spec over each limit is rejected while the limit itself
+// passes.
+func TestValidateResourceLimits(t *testing.T) {
+	if _, err := Decode([]byte(hostileSpec)); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+		t.Fatalf("Decode(hostile) = %v, want a limit error", err)
+	}
+	for _, c := range []struct {
+		name     string
+		fn       func(*Spec, int)
+		ok, over int
+	}{
+		{"ues_per_cell", func(s *Spec, n int) { s.Population.UEsPerCell, s.Population.CellPolicy = n, "pf" }, maxUEsPerCell, maxUEsPerCell + 1},
+		{"sessions.count", func(s *Spec, n int) { s.Sessions.Count, s.Sessions.DurationSec = n, 1 }, maxSessions, maxSessions + 1},
+		{"session seconds", func(s *Spec, n int) { s.BandPlan.Operators, s.Sessions.DurationSec = nil, float64(n)/11 }, maxSessionSec, maxSessionSec + 11},
+	} {
+		for _, n := range []int{c.ok, c.over} {
+			s, err := Decode([]byte(validBulk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.fn(s, n)
+			err = s.Validate()
+			if n == c.ok && err != nil {
+				t.Errorf("%s at the limit: Validate = %v", c.name, err)
+			}
+			if n == c.over && (err == nil || !strings.Contains(err.Error(), "exceeds the limit")) {
+				t.Errorf("%s over the limit: Validate = %v, want a limit error", c.name, err)
+			}
+		}
+	}
+}
+
 // Validate must reject every cross-field contradiction with a message
 // that points at the offending JSON. Each case is the valid bulk spec
 // plus one mutation.
@@ -116,6 +155,14 @@ func TestValidateCrossField(t *testing.T) {
 		{"inert faults", func(s *Spec) { s.Faults = "seed=4" }, "arms no fault class"},
 		{"zero count", func(s *Spec) { s.Sessions.Count = -1 }, "sessions.count -1 < 1"},
 		{"no duration", func(s *Spec) { s.Sessions.DurationSec = 0 }, "duration_sec 0 must be positive"},
+		{"too many ues", func(s *Spec) { s.Population.UEsPerCell = 1e8 }, "ues_per_cell 100000000 exceeds the limit of 4096"},
+		{"too many sessions", func(s *Spec) { s.Sessions.Count = 1e6 }, "sessions.count 1000000 exceeds the limit of 10000"},
+		{"too much session time", func(s *Spec) { s.Sessions.DurationSec = 2e6 }, "simulated seconds exceeds the limit of 1e+06"},
+		{"huge video", func(s *Spec) {
+			s.Traffic.App = AppVideo
+			s.Sessions.DurationSec = 0
+			s.Video = &VideoGrid{ABRs: []string{"bola"}, Ladder: "400", ChunkSec: 4, MediaSec: 1e300}
+		}, "simulated seconds exceeds the limit"},
 		{"video section on bulk", func(s *Spec) { s.Video = &VideoGrid{ABRs: []string{"bola"}, Ladder: "400", ChunkSec: 4, MediaSec: 8} }, `video section set but traffic app is "bulk"`},
 	}
 	for _, c := range cases {

@@ -181,7 +181,7 @@ func (c *CSI) Observe(slot int64, sinrDB float64) {
 	}
 	rank := c.rankFor(sinrDB)
 	c.lastRank = rank
-	perLayer := math.Pow(10, (sinrDB+c.cfg.CQIOptimismDB)/10) /
+	perLayer := phy.DBToLinear(sinrDB+c.cfg.CQIOptimismDB) /
 		math.Pow(float64(rank), c.cfg.LayerPenaltyExp)
 	se := math.Log2(1 + perLayer)
 	cqi := c.cfg.Table.CQIFromEfficiency(se)
