@@ -1,10 +1,11 @@
 // Command figures regenerates every table and figure of the paper's
 // evaluation and prints the rows/series each one plots.
 //
-// The ~30 artifacts are independent simulation jobs, so they fan out
-// over the fleet worker pool: each job renders into its own buffer and
-// the buffers are emitted in figure order, making the output
-// byte-identical for any -parallel value.
+// The ~30 artifacts are experiment plans (experiments.Plan): one or more
+// independent arms plus a reducer. Every arm of every selected figure is
+// one leaf job on a single fleet worker pool; once all have finished,
+// each figure is reduced from its arms and rendered in figure order,
+// making the output byte-identical for any -parallel value.
 //
 // The multi-scale variability figures (12, 13) regenerate through the
 // columnar trace pipeline: their sessions capture to in-memory .xcol
@@ -25,7 +26,7 @@
 package main
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -65,7 +66,7 @@ func main() {
 	flag.Int64Var(&opt.seed, "seed", 2024, "simulation seed")
 	flag.StringVar(&opt.only, "only", "", "comma-separated subset, e.g. fig01,fig11,table1")
 	flag.StringVar(&opt.csvDir, "csv", "", "also write machine-readable CSV files to this directory")
-	flag.IntVar(&opt.parallel, "parallel", 0, "concurrent figure jobs (default: GOMAXPROCS; 1 = serial)")
+	flag.IntVar(&opt.parallel, "parallel", 0, "concurrent figure arms (default: GOMAXPROCS; 1 = serial)")
 	flag.StringVar(&opt.obsListen, "obs-listen", "", "serve /metrics, /debug/pprof and /debug/vars on this address during the run (\":0\" picks a port)")
 	flag.DurationVar(&opt.progress, "progress", 0, "interval between stderr progress snapshots (0 disables)")
 	flag.StringVar(&opt.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -104,7 +105,7 @@ func run(opt options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	o := experiments.Options{Quick: opt.quick, Seed: opt.seed, Workers: opt.parallel, Faults: sched}
+	o := experiments.Options{Quick: opt.quick, Seed: opt.seed, Faults: sched}
 
 	var m fleet.Metrics
 	t0 := time.Now() //detlint:allow walltime CLI wall-cost accounting for the manifest, never simulation input
@@ -140,328 +141,155 @@ func run(opt options, stdout, stderr io.Writer) error {
 			wanted[k] = true
 		}
 	}
-	want := func(k string) bool { return len(wanted) == 0 || wanted[k] }
-	csvOut := func(write func(string) error) error {
-		if opt.csvDir == "" {
-			return nil
-		}
-		return write(opt.csvDir)
-	}
-
-	type figJob struct {
-		key string
-		run func(w io.Writer) error
-	}
 	var fig1 []experiments.Fig01Row
 	var fig9 []experiments.Fig09Row
 	var fig11 []experiments.Fig11Row
-	jobs := []figJob{
-		{"table1", func(w io.Writer) error {
-			s, err := experiments.Table1(o)
-			if err != nil {
-				return err
-			}
-			report.Table1(w, s)
-			return nil
-		}},
-		{"tables23", func(w io.Writer) error {
-			rows, err := experiments.Tables23(o)
-			if err != nil {
-				return err
-			}
-			report.Tables23(w, rows)
-			return nil
-		}},
-		{"sec32", func(w io.Writer) error {
-			rows, err := experiments.Sec32(o)
-			if err != nil {
-				return err
-			}
-			report.Sec32(w, rows)
-			return nil
-		}},
-		{"fig01", func(w io.Writer) error {
-			rows, err := experiments.Fig01(o)
-			if err != nil {
-				return err
-			}
-			fig1 = rows
-			report.Fig01(w, rows)
-			return csvOut(func(d string) error { return report.Fig01CSV(d, rows) })
-		}},
-		{"fig02", func(w io.Writer) error {
-			rows, err := experiments.Fig02(o)
-			if err != nil {
-				return err
-			}
-			report.Fig02(w, rows)
-			return csvOut(func(d string) error { return report.Fig02CSV(d, rows) })
-		}},
-		{"fig03", func(w io.Writer) error {
-			rows, err := experiments.Fig03(o)
-			if err != nil {
-				return err
-			}
-			report.Fig03(w, rows)
-			return nil
-		}},
-		{"fig04", func(w io.Writer) error {
-			rows, err := experiments.Fig04(o)
-			if err != nil {
-				return err
-			}
-			report.Fig04(w, rows)
-			return nil
-		}},
-		{"fig05", func(w io.Writer) error {
-			rows, err := experiments.Fig05(o)
-			if err != nil {
-				return err
-			}
-			report.Fig05(w, rows)
-			return nil
-		}},
-		{"fig06", func(w io.Writer) error {
-			rows, err := experiments.Fig06(o)
-			if err != nil {
-				return err
-			}
-			report.Fig06(w, rows)
-			return nil
-		}},
-		{"fig07", func(w io.Writer) error {
-			rows, err := experiments.Fig07(o)
-			if err != nil {
-				return err
-			}
-			report.Fig07(w, rows)
-			return nil
-		}},
-		{"fig08", func(w io.Writer) error {
-			rows, err := experiments.Fig08(o)
-			if err != nil {
-				return err
-			}
-			report.Fig08(w, rows)
-			return nil
-		}},
-		{"fig09", func(w io.Writer) error {
-			rows, err := experiments.Fig09(o)
-			if err != nil {
-				return err
-			}
-			fig9 = rows
-			report.Fig09(w, rows)
-			return csvOut(func(d string) error { return report.Fig09CSV(d, rows) })
-		}},
-		{"fig10", func(w io.Writer) error {
-			rows, err := experiments.Fig10(o)
-			if err != nil {
-				return err
-			}
-			report.Fig10(w, rows)
-			return nil
-		}},
-		{"fig11", func(w io.Writer) error {
-			rows, err := experiments.Fig11(o)
-			if err != nil {
-				return err
-			}
-			fig11 = rows
-			report.Fig11(w, rows)
-			return csvOut(func(d string) error { return report.Fig11CSV(d, rows) })
-		}},
-		{"fig12", func(w io.Writer) error {
-			rows, err := experiments.Fig12(o)
-			if err != nil {
-				return err
-			}
-			report.Fig12(w, rows)
-			return csvOut(func(d string) error { return report.Fig12CSV(d, rows) })
-		}},
-		{"fig13", func(w io.Writer) error {
-			r, err := experiments.Fig13(o)
-			if err != nil {
-				return err
-			}
-			report.Fig13(w, r)
-			return nil
-		}},
-		{"fig14", func(w io.Writer) error {
-			rows, err := experiments.Fig14(o)
-			if err != nil {
-				return err
-			}
-			report.Fig14(w, rows)
-			return nil
-		}},
-		{"fig15", func(w io.Writer) error {
-			rows, err := experiments.Fig15(o)
-			if err != nil {
-				return err
-			}
-			report.Fig15(w, rows)
-			return nil
-		}},
-		{"fig16", func(w io.Writer) error {
-			r, err := experiments.Fig16(o)
-			if err != nil {
-				return err
-			}
-			report.Fig16(w, r)
-			return nil
-		}},
-		{"fig17", func(w io.Writer) error {
-			rows, err := experiments.Fig17(o)
-			if err != nil {
-				return err
-			}
-			report.Fig17(w, rows)
-			return csvOut(func(d string) error { return report.Fig17CSV(d, rows) })
-		}},
-		{"fig18", func(w io.Writer) error {
-			rows, err := experiments.Fig18(o)
-			if err != nil {
-				return err
-			}
-			report.Fig18(w, rows)
-			return csvOut(func(d string) error { return report.Fig18CSV(d, rows) })
-		}},
-		{"fig19", func(w io.Writer) error {
-			rows, err := experiments.Fig19(o)
-			if err != nil {
-				return err
-			}
-			report.Fig19(w, rows)
-			return nil
-		}},
-		{"fig23", func(w io.Writer) error {
-			rows, err := experiments.Fig23(o)
-			if err != nil {
-				return err
-			}
-			report.Fig23(w, rows)
-			return nil
-		}},
-		{"fig24", func(w io.Writer) error {
-			rows, err := experiments.Fig24(o)
-			if err != nil {
-				return err
-			}
-			report.Fig24(w, rows)
-			return nil
-		}},
-		{"sec7", func(w io.Writer) error {
-			rows, err := experiments.Sec7(o)
-			if err != nil {
-				return err
-			}
-			report.Sec7(w, rows)
-			return csvOut(func(d string) error { return report.Sec7CSV(d, rows) })
-		}},
-		{"exta", func(w io.Writer) error {
-			rows, err := experiments.ExtNSAvsSA(o)
-			if err != nil {
-				return err
-			}
-			report.ExtNSAvsSA(w, rows)
-			return nil
-		}},
-		{"extb", func(w io.Writer) error {
-			rows, err := experiments.ExtTDDSweep(o)
-			if err != nil {
-				return err
-			}
-			report.ExtTDDSweep(w, rows)
-			return nil
-		}},
-		{"extc", func(w io.Writer) error {
-			rows, err := experiments.ExtABRComparison(o)
-			if err != nil {
-				return err
-			}
-			report.ExtABR(w, rows)
-			return nil
-		}},
-		{"extd", func(w io.Writer) error {
-			rows, err := experiments.ExtSchedulers(o)
-			if err != nil {
-				return err
-			}
-			report.ExtSchedulers(w, rows)
-			return nil
-		}},
-		{"exte", func(w io.Writer) error {
-			rows, err := experiments.ExtTransport(o)
-			if err != nil {
-				return err
-			}
-			report.ExtTransport(w, rows)
-			return nil
-		}},
-		{"extf", func(w io.Writer) error {
-			rows, err := experiments.ExtHandover(o)
-			if err != nil {
-				return err
-			}
-			report.ExtHandover(w, rows)
-			return nil
-		}},
-	}
-
-	var selected []figJob
-	for _, j := range jobs {
-		if want(j.key) {
-			selected = append(selected, j)
+	var selected []figure
+	for _, f := range figures(o, &fig1, &fig9, &fig11) {
+		if len(wanted) == 0 || wanted[f.key] {
+			selected = append(selected, f)
 		}
 	}
-	// Every figure renders into its own pooled buffer; the ordered
-	// results are streamed afterwards, so -parallel never interleaves
-	// the report, and drained buffers recycle through fleet's pool.
-	fjobs := make([]fleet.Job[*bytes.Buffer], len(selected))
-	for i := range selected {
-		j := selected[i]
-		fjobs[i] = fleet.Job[*bytes.Buffer]{
-			Key: j.key,
-			Run: func(context.Context) (*bytes.Buffer, error) {
-				buf := fleet.GetBuffer()
-				if err := j.run(buf); err != nil {
-					fleet.PutBuffer(buf)
-					return nil, err
-				}
-				return buf, nil
-			},
+	// One flat job graph: every arm of every selected figure is a leaf on
+	// a single fleet, so one figure's slow arms never run one after
+	// another while workers idle. A split figure's leaves are keyed
+	// "fig19/0".."fig19/3".
+	var leaves []fleet.Job[any]
+	for _, f := range selected {
+		for i := 0; i < f.arms; i++ {
+			key := f.key
+			if f.arms > 1 {
+				key = fmt.Sprintf("%s/%d", f.key, i)
+			}
+			leaves = append(leaves, fleet.Job[any]{
+				Key: key,
+				Run: func(context.Context) (any, error) { return f.arm(i) },
+			})
 		}
 	}
-	results, err := fleet.Run(context.Background(), fjobs, fleet.Options{
+	results, err := fleet.Run(context.Background(), leaves, fleet.Options{
 		Workers: opt.parallel,
 		Metrics: &m,
 		Progress: func(done, total int, key string) {
 			fmt.Fprintf(stderr, "figures: [%d/%d] %s (%.1fs)\n", done, total, key, time.Since(t0).Seconds()) //detlint:allow walltime stderr progress line, not part of figure output
 		},
 	})
-	for _, r := range results {
-		if r.Err == nil && r.Value != nil {
-			_, werr := io.Copy(stdout, r.Value)
-			fleet.PutBuffer(r.Value)
-			if werr != nil {
-				return werr
-			}
+	// Reduce and render, in figure order, every figure whose arms all
+	// succeeded, so -parallel never interleaves or reorders the report.
+	out := bufio.NewWriter(stdout)
+	for _, f := range selected {
+		arms := make([]any, f.arms)
+		ok := true
+		for i := range arms {
+			ok = ok && results[0].Err == nil
+			arms[i], results = results[0].Value, results[1:]
 		}
+		if !ok {
+			continue
+		}
+		if rerr := f.render(out, opt.csvDir, arms); err == nil {
+			err = rerr
+		}
+	}
+	if err == nil {
+		if len(wanted) == 0 && fig1 != nil && fig9 != nil && fig11 != nil {
+			report.PaperComparison(out, fig1, fig9, fig11)
+		}
+		fmt.Fprintln(out)
+	}
+	if ferr := out.Flush(); err == nil {
+		err = ferr
 	}
 	if err != nil {
 		return err
 	}
-	if len(wanted) == 0 && fig1 != nil && fig9 != nil && fig11 != nil {
-		report.PaperComparison(stdout, fig1, fig9, fig11)
-	}
-	fmt.Fprintln(stdout)
 	if opt.csvDir != "" {
 		if err := writeManifest(opt, t0, &m); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// figure is one artifact: its plan's arms, type-erased so the arms of
+// every figure share one fleet, and the step that reduces them, renders
+// the figure and writes its CSV.
+type figure struct {
+	key    string
+	arms   int
+	arm    func(i int) (any, error)
+	render func(w io.Writer, csvDir string, arms []any) error
+}
+
+// newFigure erases a plan's arm and result types. csv is nil for
+// figures without a CSV artifact.
+func newFigure[A, R any](key string, p experiments.Plan[A, R], render func(io.Writer, R), csv func(dir string, r R) error) figure {
+	return figure{
+		key:  key,
+		arms: p.Arms,
+		arm:  func(i int) (any, error) { return p.Arm(i) },
+		render: func(w io.Writer, csvDir string, arms []any) error {
+			as := make([]A, len(arms))
+			for i, a := range arms {
+				as[i] = a.(A)
+			}
+			r, err := p.Reduce(as)
+			if err != nil {
+				return fmt.Errorf("%s: %w", key, err)
+			}
+			render(w, r)
+			if csv == nil || csvDir == "" {
+				return nil
+			}
+			return csv(csvDir, r)
+		},
+	}
+}
+
+// keep renders r and also stores it for the closing paper comparison.
+func keep[R any](dst *R, render func(io.Writer, R)) func(io.Writer, R) {
+	return func(w io.Writer, r R) {
+		*dst = r
+		render(w, r)
+	}
+}
+
+// figures lists every artifact in report order. Figures 17–19, §7 and
+// the extension sweeps split into arms; the rest are one-arm plans.
+func figures(o experiments.Options, fig1 *[]experiments.Fig01Row, fig9 *[]experiments.Fig09Row, fig11 *[]experiments.Fig11Row) []figure {
+	return []figure{
+		newFigure("table1", experiments.Single(o, experiments.Table1), report.Table1, nil),
+		newFigure("tables23", experiments.Single(o, experiments.Tables23), report.Tables23, nil),
+		newFigure("sec32", experiments.Single(o, experiments.Sec32), report.Sec32, nil),
+		newFigure("fig01", experiments.Single(o, experiments.Fig01), keep(fig1, report.Fig01), report.Fig01CSV),
+		newFigure("fig02", experiments.Single(o, experiments.Fig02), report.Fig02, report.Fig02CSV),
+		newFigure("fig03", experiments.Single(o, experiments.Fig03), report.Fig03, nil),
+		newFigure("fig04", experiments.Single(o, experiments.Fig04), report.Fig04, nil),
+		newFigure("fig05", experiments.Single(o, experiments.Fig05), report.Fig05, nil),
+		newFigure("fig06", experiments.Single(o, experiments.Fig06), report.Fig06, nil),
+		newFigure("fig07", experiments.Single(o, experiments.Fig07), report.Fig07, nil),
+		newFigure("fig08", experiments.Single(o, experiments.Fig08), report.Fig08, nil),
+		newFigure("fig09", experiments.Single(o, experiments.Fig09), keep(fig9, report.Fig09), report.Fig09CSV),
+		newFigure("fig10", experiments.Single(o, experiments.Fig10), report.Fig10, nil),
+		newFigure("fig11", experiments.Single(o, experiments.Fig11), keep(fig11, report.Fig11), report.Fig11CSV),
+		newFigure("fig12", experiments.Single(o, experiments.Fig12), report.Fig12, report.Fig12CSV),
+		newFigure("fig13", experiments.Single(o, experiments.Fig13), report.Fig13, nil),
+		newFigure("fig14", experiments.Single(o, experiments.Fig14), report.Fig14, nil),
+		newFigure("fig15", experiments.Single(o, experiments.Fig15), report.Fig15, nil),
+		newFigure("fig16", experiments.Single(o, experiments.Fig16), report.Fig16, nil),
+		newFigure("fig17", experiments.Fig17Plan(o), report.Fig17, report.Fig17CSV),
+		newFigure("fig18", experiments.Fig18Plan(o), report.Fig18, report.Fig18CSV),
+		newFigure("fig19", experiments.Fig19Plan(o), report.Fig19, nil),
+		newFigure("fig23", experiments.Single(o, experiments.Fig23), report.Fig23, nil),
+		newFigure("fig24", experiments.Single(o, experiments.Fig24), report.Fig24, nil),
+		newFigure("sec7", experiments.Sec7Plan(o), report.Sec7, report.Sec7CSV),
+		newFigure("exta", experiments.Single(o, experiments.ExtNSAvsSA), report.ExtNSAvsSA, nil),
+		newFigure("extb", experiments.ExtTDDSweepPlan(o), report.ExtTDDSweep, nil),
+		newFigure("extc", experiments.ExtABRComparisonPlan(o), report.ExtABR, nil),
+		newFigure("extd", experiments.ExtSchedulersPlan(o), report.ExtSchedulers, nil),
+		newFigure("exte", experiments.Single(o, experiments.ExtTransport), report.ExtTransport, nil),
+		newFigure("extf", experiments.Single(o, experiments.ExtHandover), report.ExtHandover, nil),
+	}
 }
 
 // writeManifest records the run next to its CSV outputs so every figure

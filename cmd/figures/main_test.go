@@ -11,9 +11,10 @@ import (
 )
 
 // The figures runner must emit byte-identical stdout and CSV files for
-// any -parallel value: jobs render into private buffers that are
-// streamed in figure order, and every experiment seeds itself from the
-// base seed, never from scheduling.
+// any -parallel value: every arm seeds itself from the base seed and its
+// arm index, never from scheduling, and each figure is reduced from its
+// arms and rendered in figure order. fig17 is a split figure with a CSV,
+// so its reducer path is covered too.
 func TestRunParallelDeterminism(t *testing.T) {
 	render := func(parallel int) (string, map[string]string) {
 		var out bytes.Buffer
@@ -21,7 +22,7 @@ func TestRunParallelDeterminism(t *testing.T) {
 		opt := options{
 			quick:    true,
 			seed:     2024,
-			only:     "fig11,extb,extd",
+			only:     "fig11,fig17,extb,extd",
 			csvDir:   csvDir,
 			parallel: parallel,
 		}

@@ -148,8 +148,8 @@ func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWri
 	}
 	// RSRQ reaches an artifact only through the capture's KPI records
 	// (campaign aggregates and the figure pipelines read goodput/SINR/MCS
-	// series, never Result.RSRQdB), so untraced runs skip the per-slot
-	// conversion. The hint draws no randomness: every SINR sample, CQI
+	// series; iperf.Result keeps no RSRQ series), so untraced runs skip
+	// the per-slot conversion. The hint draws no randomness: every SINR sample, CQI
 	// report and scheduling decision is bit-identical either way.
 	s.Link.SetRSRQNeeded(w != nil)
 	if w != nil {

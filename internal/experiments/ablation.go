@@ -84,14 +84,14 @@ func ablationMeasureFull(o Options, mutate func(*gnb.CarrierConfig)) (dlMbps, bl
 	return res.DLMbps, nacks / n, residualLoss, nil
 }
 
-// ablationVariants runs one ablationMeasure per (name, mutation) arm
-// through the fleet pool; each arm builds its own link, so the arms are
-// fully independent and the row order follows the variant order.
-func ablationVariants(o Options, names []string, mutations []func(*gnb.CarrierConfig)) ([]measuredVariant, error) {
-	return runArms(o, names, func(i int) (measuredVariant, error) {
+// ablationVariants runs the plan of one ablationMeasureFull arm per
+// mutation; each arm builds its own link, so the arms are fully
+// independent and the row order follows the variant order.
+func ablationVariants(o Options, mutations ...func(*gnb.CarrierConfig)) ([]measuredVariant, error) {
+	return rowPlan(len(mutations), func(i int) (measuredVariant, error) {
 		dl, bler, loss, err := ablationMeasureFull(o, mutations[i])
 		return measuredVariant{dl: dl, bler: bler, loss: loss}, err
-	})
+	}).Run()
 }
 
 type measuredVariant struct {
@@ -101,9 +101,7 @@ type measuredVariant struct {
 // AblationOLLA compares outer-loop link adaptation on vs off: without it
 // the stale-CQI mismatch goes uncorrected and BLER drifts off target.
 func AblationOLLA(o Options) ([]AblationResult, error) {
-	vs, err := ablationVariants(o,
-		[]string{"olla-on", "olla-off"},
-		[]func(*gnb.CarrierConfig){nil, func(c *gnb.CarrierConfig) { c.DisableOLLA = true }})
+	vs, err := ablationVariants(o, nil, func(c *gnb.CarrierConfig) { c.DisableOLLA = true })
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +118,7 @@ func AblationOLLA(o Options) ([]AblationResult, error) {
 // be recovered end-to-end. HARQ drives it to ≈BLER^4; without HARQ every
 // first-transmission error is application-visible.
 func AblationHARQ(o Options) ([]AblationResult, error) {
-	vs, err := ablationVariants(o,
-		[]string{"harq-on", "harq-off"},
-		[]func(*gnb.CarrierConfig){nil, func(c *gnb.CarrierConfig) { c.DisableHARQ = true }})
+	vs, err := ablationVariants(o, nil, func(c *gnb.CarrierConfig) { c.DisableHARQ = true })
 	if err != nil {
 		return nil, err
 	}
@@ -137,9 +133,7 @@ func AblationHARQ(o Options) ([]AblationResult, error) {
 // AblationRankAdaptation compares adaptive rank against a fixed rank-1
 // configuration — the 4× MIMO leverage §4.1 identifies.
 func AblationRankAdaptation(o Options) ([]AblationResult, error) {
-	vs, err := ablationVariants(o,
-		[]string{"rank-adaptive", "rank-1-fixed"},
-		[]func(*gnb.CarrierConfig){nil, func(c *gnb.CarrierConfig) { c.CSI.MaxRank = 1 }})
+	vs, err := ablationVariants(o, nil, func(c *gnb.CarrierConfig) { c.CSI.MaxRank = 1 })
 	if err != nil {
 		return nil, err
 	}
@@ -156,14 +150,12 @@ func AblationCQIMapping(o Options) ([]AblationResult, error) {
 		name string
 		db   float64
 	}{{"conservative(1dB)", 1}, {"default(3dB)", 3}, {"aggressive(6dB)", 6}}
-	names := make([]string, len(variants))
 	mutations := make([]func(*gnb.CarrierConfig), len(variants))
 	for i, v := range variants {
 		db := v.db
-		names[i] = v.name
 		mutations[i] = func(c *gnb.CarrierConfig) { c.CSI.CQIOptimismDB = db }
 	}
-	vs, err := ablationVariants(o, names, mutations)
+	vs, err := ablationVariants(o, mutations...)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +172,7 @@ func AblationCQIMapping(o Options) ([]AblationResult, error) {
 // equal-share two-UE split (the Fig. 14 scheduler policy).
 func AblationScheduler(o Options) ([]AblationResult, error) {
 	shares := []float64{1, 0.5}
-	dl, err := runArms(o, []string{"share-1.0", "share-0.5"}, func(i int) (float64, error) {
+	dl, err := rowPlan(len(shares), func(i int) (float64, error) {
 		link, err := ablationLink(o, nil)
 		if err != nil {
 			return 0, err
@@ -190,7 +182,7 @@ func AblationScheduler(o Options) ([]AblationResult, error) {
 			return 0, err
 		}
 		return res.DLMbps, nil
-	})
+	}).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +204,7 @@ func AblationBOLAGamma(o Options) ([]AblationResult, error) {
 		names[i] = fmt.Sprintf("gp=%.1f", gp)
 	}
 	type qoe struct{ normrate, stallPct float64 }
-	arms, err := runArms(o, names, func(i int) (qoe, error) {
+	arms, err := rowPlan(len(gps), func(i int) (qoe, error) {
 		link, err := ablationLink(o, nil)
 		if err != nil {
 			return qoe{}, err
@@ -227,7 +219,7 @@ func AblationBOLAGamma(o Options) ([]AblationResult, error) {
 			return qoe{}, err
 		}
 		return qoe{res.AvgNormBitrate, res.StallPct()}, nil
-	})
+	}).Run()
 	if err != nil {
 		return nil, err
 	}

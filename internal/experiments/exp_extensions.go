@@ -76,16 +76,17 @@ type ExtTDDSweepRow struct {
 // defers ("we delegate the discussion of TDD frame structure and its
 // implications on 5G performance to future works"): the same 90 MHz carrier
 // under different UL/DL splits.
-func ExtTDDSweep(o Options) ([]ExtTDDSweepRow, error) {
-	op, err := operators.ByAcronym("V_Sp")
-	if err != nil {
-		return nil, err
-	}
+func ExtTDDSweep(o Options) ([]ExtTDDSweepRow, error) { return ExtTDDSweepPlan(o).Run() }
+
+// ExtTDDSweepPlan is ExtTDDSweep with one arm per frame structure: its
+// own sub-operator, link and latency models, seeded by the arm index.
+func ExtTDDSweepPlan(o Options) Plan[ExtTDDSweepRow, []ExtTDDSweepRow] {
 	patterns := []string{"DDDSU", "DDSUU", "DDDDDDDSUU", "DDDDDDDDSU"}
-	// Each frame structure is an independent arm: its own sub-operator,
-	// link and latency models, seeded by the arm index — so the sweep
-	// fans out across the fleet pool without changing a single row.
-	return runArms(o, patterns, func(i int) (ExtTDDSweepRow, error) {
+	return rowPlan(len(patterns), func(i int) (ExtTDDSweepRow, error) {
+		op, err := operators.ByAcronym("V_Sp")
+		if err != nil {
+			return ExtTDDSweepRow{}, err
+		}
 		pat := patterns[i]
 		sub := op
 		sub.Carriers = append([]operators.Carrier(nil), op.Carriers...)
@@ -136,12 +137,11 @@ type ExtABRRow struct {
 
 // ExtABRComparison runs all five ABR implementations — the paper's three
 // plus L2A and LoLP (footnote 6) — over the same busy-hour V_Sp channel.
-func ExtABRComparison(o Options) ([]ExtABRRow, error) {
-	op, err := busyOp("V_Sp")
-	if err != nil {
-		return nil, err
-	}
-	// Fresh ABR state per arm: the constructors run inside the job so no
+func ExtABRComparison(o Options) ([]ExtABRRow, error) { return ExtABRComparisonPlan(o).Run() }
+
+// ExtABRComparisonPlan is ExtABRComparison with one arm per algorithm.
+func ExtABRComparisonPlan(o Options) Plan[ExtABRRow, []ExtABRRow] {
+	// Fresh ABR state per arm: the constructors run inside the arm so no
 	// algorithm object is shared across workers.
 	algs := []func() video.ABR{
 		func() video.ABR { return video.NewBOLA() },
@@ -150,11 +150,11 @@ func ExtABRComparison(o Options) ([]ExtABRRow, error) {
 		func() video.ABR { return video.NewL2A() },
 		func() video.ABR { return video.NewLoLP() },
 	}
-	keys := make([]string, len(algs))
-	for i, mk := range algs {
-		keys[i] = mk().Name()
-	}
-	return runArms(o, keys, func(i int) (ExtABRRow, error) {
+	return rowPlan(len(algs), func(i int) (ExtABRRow, error) {
+		op, err := busyOp("V_Sp")
+		if err != nil {
+			return ExtABRRow{}, err
+		}
 		abr := algs[i]()
 		link, err := videoLinkOp(op, operators.Stationary(o.seed()+401))
 		if err != nil {
@@ -189,21 +189,20 @@ type ExtSchedulerRow struct {
 // ExtSchedulers runs the multi-UE cell under all three scheduler policies —
 // the substrate behind Fig. 14, exercised faithfully with two concurrent
 // UEs instead of a share parameter.
-func ExtSchedulers(o Options) ([]ExtSchedulerRow, error) {
-	op, err := operators.ByAcronym("Vzw_US")
-	if err != nil {
-		return nil, err
-	}
+func ExtSchedulers(o Options) ([]ExtSchedulerRow, error) { return ExtSchedulersPlan(o).Run() }
+
+// ExtSchedulersPlan is ExtSchedulers with one arm per policy. Each arm
+// rebuilds its carrier config from the registry so no simulator state is
+// shared between workers.
+func ExtSchedulersPlan(o Options) Plan[ExtSchedulerRow, []ExtSchedulerRow] {
 	pols := []gnb.SchedulerPolicy{
 		gnb.SchedulerEqualShare, gnb.SchedulerProportionalFair, gnb.SchedulerMaxRate,
 	}
-	keys := make([]string, len(pols))
-	for i, pol := range pols {
-		keys[i] = pol.String()
-	}
-	// Each policy arm rebuilds its carrier config from the registry so
-	// no simulator state is shared between workers.
-	return runArms(o, keys, func(idx int) (ExtSchedulerRow, error) {
+	return rowPlan(len(pols), func(idx int) (ExtSchedulerRow, error) {
+		op, err := operators.ByAcronym("Vzw_US")
+		if err != nil {
+			return ExtSchedulerRow{}, err
+		}
 		cc, err := op.CarrierConfig(0, operators.Stationary(o.seed()+509))
 		if err != nil {
 			return ExtSchedulerRow{}, err

@@ -3,9 +3,8 @@ package experiments
 import (
 	"time"
 
-	"github.com/midband5g/midband/internal/iperf"
-
 	"github.com/midband5g/midband/internal/analysis"
+	"github.com/midband5g/midband/internal/core"
 	"github.com/midband5g/midband/internal/net5g"
 	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/video"
@@ -25,6 +24,52 @@ func mobilityScenario(mobility string, seed int64) operators.Scenario {
 	return operators.Walking(seed)
 }
 
+// sec7Seconds is the §7 session length. The comparison needs stable
+// statistics across blockage cycles, so it keeps 20 s sessions even
+// under Quick options.
+const sec7Seconds = 20
+
+// sec7Session is what a §7 arm reads of one full-buffer DL session.
+type sec7Session struct {
+	dlMbps  float64
+	process []float64 // the PDSCH throughput process (DLThroughputProcess)
+	slot    time.Duration
+	slots   int
+	outage  int // slots with no service
+}
+
+// measureSec7 runs a §7 session as one-second iperf windows chained on
+// one link, so every slot steps exactly as in a single 20 s run. Only
+// what an arm reads outlives a window: two mmWave arms in flight hold
+// their throughput processes, not two sets of per-slot series.
+func measureSec7(acr, mob string, seed int64) (sec7Session, error) {
+	sess, err := core.NewSession(mustOp(acr), mobilityScenario(mob, seed))
+	if err != nil {
+		return sec7Session{}, err
+	}
+	var s sec7Session
+	dlBits := 0.0 // integer-valued, so the sum is exact in any grouping
+	for w := 0; w < sec7Seconds; w++ {
+		res, err := sess.RunIperf(time.Second, net5g.Demand{DL: true}, nil)
+		if err != nil {
+			return sec7Session{}, err
+		}
+		for _, b := range res.DLBitsPerSlot {
+			dlBits += b
+		}
+		for _, v := range res.SINRdB {
+			if v < -50 {
+				s.outage++
+			}
+		}
+		s.process = append(s.process, res.DLThroughputProcess()...)
+		s.slot, s.slots = res.SlotDuration, s.slots+len(res.SINRdB)
+	}
+	// The same expression iperf.Run ends a 20 s session with.
+	s.dlMbps = dlBits / (sec7Seconds * time.Second).Seconds() / 1e6
+	return s, nil
+}
+
 // Fig18Series is one (technology, mobility) variability curve.
 type Fig18Series struct {
 	Tech     string // "midband" or "mmwave"
@@ -35,38 +80,32 @@ type Fig18Series struct {
 	OutagePct float64
 }
 
+// §7 runs every (technology, mobility) pair as an independent arm.
+var (
+	techs      = []struct{ name, acr string }{{"midband", midBandAcr}, {"mmwave", mmWaveAcr}}
+	mobilities = []string{"walking", "driving"}
+)
+
 // Fig18 reproduces the mid-band vs mmWave variability comparison across
 // time scales under walking and driving.
-func Fig18(o Options) ([]Fig18Series, error) {
-	var out []Fig18Series
-	for _, tech := range []struct{ name, acr string }{{"midband", midBandAcr}, {"mmwave", mmWaveAcr}} {
-		for _, mob := range []string{"walking", "driving"} {
-			op, err := operators.ByAcronym(tech.acr)
-			if err != nil {
-				return nil, err
-			}
-			// The §7 comparison needs stable statistics across blockage
-			// cycles; it keeps 20 s sessions even under Quick options.
-			res, err := measureOp(op, mobilityScenario(mob, o.seed()+79), 20*time.Second, net5g.Demand{DL: true})
-			if err != nil {
-				return nil, err
-			}
-			outage := 0.0
-			for _, s := range res.SINRdB {
-				if s < -50 {
-					outage++
-				}
-			}
-			out = append(out, Fig18Series{
-				Tech:      tech.name,
-				Mobility:  mob,
-				DLMbps:    res.DLMbps,
-				Curve:     analysis.Curve(res.DLThroughputProcess(), res.SlotDuration, 12),
-				OutagePct: 100 * outage / float64(len(res.SINRdB)),
-			})
+func Fig18(o Options) ([]Fig18Series, error) { return Fig18Plan(o).Run() }
+
+// Fig18Plan is Fig18 with one arm per (technology, mobility) session.
+func Fig18Plan(o Options) Plan[Fig18Series, []Fig18Series] {
+	return rowPlan(len(techs)*len(mobilities), func(i int) (Fig18Series, error) {
+		tech, mob := techs[i/len(mobilities)], mobilities[i%len(mobilities)]
+		s, err := measureSec7(tech.acr, mob, o.seed()+79)
+		if err != nil {
+			return Fig18Series{}, err
 		}
-	}
-	return out, nil
+		return Fig18Series{
+			Tech:      tech.name,
+			Mobility:  mob,
+			DLMbps:    s.dlMbps,
+			Curve:     analysis.Curve(s.process, s.slot, 12),
+			OutagePct: 100 * float64(s.outage) / float64(s.slots),
+		}, nil
+	})
 }
 
 // Fig19Point is one streaming session of the §7 QoE comparison.
@@ -81,19 +120,35 @@ type Fig19Point struct {
 // Fig19 reproduces the QoE comparison: (a) both technologies walking on the
 // standard ladder — mmWave gains bitrate but pays in stalls; (b) the
 // scaled-up ladder on mmWave only, walking vs driving — driving struggles.
-func Fig19(o Options) ([]Fig19Point, error) {
+func Fig19(o Options) ([]Fig19Point, error) { return Fig19Plan(o).Run() }
+
+// Fig19Plan is Fig19 with one arm per streaming point.
+func Fig19Plan(o Options) Plan[Fig19Point, []Fig19Point] {
 	reps := 2
 	if o.Quick {
 		reps = 1
 	}
-	play := func(acr, mob string, ladder video.Ladder, ladderName string, seedOff int64) (Fig19Point, error) {
+	// (a) the standard ladder, walking, both technologies; (b) the
+	// scaled-up ladder, mmWave walking and driving.
+	arms := []struct {
+		acr, mob, ladderName string
+		ladder               video.Ladder
+		seedOff              int64
+	}{
+		{midBandAcr, "walking", "400Mbps", video.Ladder400, 83},
+		{mmWaveAcr, "walking", "400Mbps", video.Ladder400, 83},
+		{mmWaveAcr, "walking", "1.25Gbps", video.LadderMmWave, 89},
+		{mmWaveAcr, "driving", "1.25Gbps", video.LadderMmWave, 89},
+	}
+	return rowPlan(len(arms), func(i int) (Fig19Point, error) {
+		a := arms[i]
 		var nb, sp float64
 		for rep := 0; rep < reps; rep++ {
-			op, err := operators.ByAcronym(acr)
+			op, err := operators.ByAcronym(a.acr)
 			if err != nil {
 				return Fig19Point{}, err
 			}
-			cfg, err := op.LinkConfig(mobilityScenario(mob, o.seed()+seedOff+int64(rep)*13))
+			cfg, err := op.LinkConfig(mobilityScenario(a.mob, o.seed()+a.seedOff+int64(rep)*13))
 			if err != nil {
 				return Fig19Point{}, err
 			}
@@ -107,7 +162,7 @@ func Fig19(o Options) ([]Fig19Point, error) {
 				link.Step(net5g.Demand{DL: true})
 			}
 			res, err := video.Play(link, video.SessionConfig{
-				Ladder:        ladder,
+				Ladder:        a.ladder,
 				ChunkLength:   time.Second, // §7 uses 1 s chunks
 				VideoDuration: o.videoDuration(240),
 				ABR:           video.NewBOLA(),
@@ -119,33 +174,14 @@ func Fig19(o Options) ([]Fig19Point, error) {
 			sp += res.StallPct()
 		}
 		tech := "midband"
-		if acr == mmWaveAcr {
+		if a.acr == mmWaveAcr {
 			tech = "mmwave"
 		}
 		return Fig19Point{
-			Tech: tech, Mobility: mob, Ladder: ladderName,
+			Tech: tech, Mobility: a.mob, Ladder: a.ladderName,
 			NormBitrate: nb / float64(reps), StallPct: sp / float64(reps),
 		}, nil
-	}
-
-	var out []Fig19Point
-	// (a) standard ladder, walking, both technologies.
-	for _, acr := range []string{midBandAcr, mmWaveAcr} {
-		p, err := play(acr, "walking", video.Ladder400, "400Mbps", 83)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	// (b) scaled-up ladder, mmWave walking and driving.
-	for _, mob := range []string{"walking", "driving"} {
-		p, err := play(mmWaveAcr, mob, video.LadderMmWave, "1.25Gbps", 89)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
+	})
 }
 
 // Sec7Aggregate reproduces the §7 headline numbers: aggregate throughput of
@@ -161,51 +197,54 @@ type Sec7Row struct {
 }
 
 // Sec7 computes the aggregate mobility comparison.
-func Sec7(o Options) ([]Sec7Row, error) {
-	relVar := func(res *iperf.Result) (float64, error) {
-		series := res.DLThroughputProcess()
-		// Fixed 128 ms comparison scale regardless of numerology.
-		scale := int(0.128 / res.SlotDuration.Seconds())
-		v, err := analysis.Variability(series, scale)
+func Sec7(o Options) ([]Sec7Row, error) { return Sec7Plan(o).Run() }
+
+// sec7Arm is one §7 session reduced to what the aggregate reads.
+type sec7Arm struct{ dlMbps, relVar float64 }
+
+// Sec7Plan is Sec7 with one arm per (mobility, technology) session.
+func Sec7Plan(o Options) Plan[sec7Arm, []Sec7Row] {
+	arm := func(i int) (sec7Arm, error) {
+		mob, tech := mobilities[i/len(techs)], techs[i%len(techs)]
+		s, err := measureSec7(tech.acr, mob, o.seed()+97)
 		if err != nil {
-			return 0, err
+			return sec7Arm{}, err
 		}
-		m := analysis.Mean(series)
-		if m == 0 {
-			return 0, nil
-		}
-		return v / m, nil
+		v, err := relVar(s.process, s.slot)
+		return sec7Arm{dlMbps: s.dlMbps, relVar: v}, err
 	}
-	var out []Sec7Row
-	for _, mob := range []string{"walking", "driving"} {
-		mid, err := measureOp(mustOp(midBandAcr), mobilityScenario(mob, o.seed()+97), 20*time.Second, net5g.Demand{DL: true})
-		if err != nil {
-			return nil, err
+	reduce := func(arms []sec7Arm) ([]Sec7Row, error) {
+		var out []Sec7Row
+		for m, mob := range mobilities {
+			mid, mmw := arms[m*len(techs)], arms[m*len(techs)+1]
+			gain := 0.0
+			if mmw.relVar > 0 {
+				gain = 100 * (1 - mid.relVar/mmw.relVar)
+			}
+			out = append(out, Sec7Row{
+				Mobility:         mob,
+				MidBandMbps:      mid.dlMbps,
+				MmWaveMbps:       mmw.dlMbps,
+				StabilityGainPct: gain,
+			})
 		}
-		mmw, err := measureOp(mustOp(mmWaveAcr), mobilityScenario(mob, o.seed()+97), 20*time.Second, net5g.Demand{DL: true})
-		if err != nil {
-			return nil, err
-		}
-		vMid, err := relVar(mid)
-		if err != nil {
-			return nil, err
-		}
-		vMmw, err := relVar(mmw)
-		if err != nil {
-			return nil, err
-		}
-		gain := 0.0
-		if vMmw > 0 {
-			gain = 100 * (1 - vMid/vMmw)
-		}
-		out = append(out, Sec7Row{
-			Mobility:         mob,
-			MidBandMbps:      mid.DLMbps,
-			MmWaveMbps:       mmw.DLMbps,
-			StabilityGainPct: gain,
-		})
+		return out, nil
 	}
-	return out, nil
+	return Plan[sec7Arm, []Sec7Row]{Arms: len(mobilities) * len(techs), Arm: arm, Reduce: reduce}
+}
+
+// relVar is a throughput series' variability at a fixed 128 ms scale,
+// regardless of numerology, relative to its mean.
+func relVar(series []float64, slot time.Duration) (float64, error) {
+	v, err := analysis.Variability(series, int(0.128/slot.Seconds()))
+	if err != nil {
+		return 0, err
+	}
+	m := analysis.Mean(series)
+	if m == 0 {
+		return 0, nil
+	}
+	return v / m, nil
 }
 
 func mustOp(acr string) operators.Operator {

@@ -176,47 +176,48 @@ type Fig17Row struct {
 
 // Fig17 reproduces the chunk-length experiment over O_Fr and V_Ge: 1 s
 // chunks improve both average bitrate and stall time versus 4 s chunks.
-func Fig17(o Options) ([]Fig17Row, error) {
-	var rows []Fig17Row
+func Fig17(o Options) ([]Fig17Row, error) { return Fig17Plan(o).Run() }
+
+// Fig17Plan is Fig17 with one arm per (operator, chunk length).
+func Fig17Plan(o Options) Plan[Fig17Row, []Fig17Row] {
+	acrs, chunks := []string{"O_Fr", "V_Ge"}, []float64{4, 1}
 	reps := 3
 	if o.Quick {
 		reps = 1
 	}
-	for _, acr := range []string{"O_Fr", "V_Ge"} {
+	return rowPlan(len(acrs)*len(chunks), func(i int) (Fig17Row, error) {
+		acr, chunk := acrs[i/len(chunks)], chunks[i%len(chunks)]
 		op, err := busyOp(acr)
 		if err != nil {
-			return nil, err
+			return Fig17Row{}, err
 		}
-		for _, chunk := range []float64{4, 1} {
-			var nb, sp float64
-			for rep := 0; rep < reps; rep++ {
-				link, err := videoLinkOp(op, operators.Stationary(o.seed()+71+int64(rep)*7))
-				if err != nil {
-					return nil, err
-				}
-				// Stall statistics need sessions long enough to span
-				// several congestion episodes; keep 3 minutes always.
-				res, err := video.Play(link, video.SessionConfig{
-					Ladder:        video.Ladder400,
-					ChunkLength:   time.Duration(chunk * float64(time.Second)),
-					VideoDuration: 180 * time.Second,
-					ABR:           video.NewBOLA(),
-				})
-				if err != nil {
-					return nil, err
-				}
-				nb += res.AvgNormBitrate
-				sp += res.StallPct()
+		var nb, sp float64
+		for rep := 0; rep < reps; rep++ {
+			link, err := videoLinkOp(op, operators.Stationary(o.seed()+71+int64(rep)*7))
+			if err != nil {
+				return Fig17Row{}, err
 			}
-			rows = append(rows, Fig17Row{
-				Operator:    acr,
-				ChunkSec:    chunk,
-				NormBitrate: nb / float64(reps),
-				StallPct:    sp / float64(reps),
+			// Stall statistics need sessions long enough to span
+			// several congestion episodes; keep 3 minutes always.
+			res, err := video.Play(link, video.SessionConfig{
+				Ladder:        video.Ladder400,
+				ChunkLength:   time.Duration(chunk * float64(time.Second)),
+				VideoDuration: 180 * time.Second,
+				ABR:           video.NewBOLA(),
 			})
+			if err != nil {
+				return Fig17Row{}, err
+			}
+			nb += res.AvgNormBitrate
+			sp += res.StallPct()
 		}
-	}
-	return rows, nil
+		return Fig17Row{
+			Operator:    acr,
+			ChunkSec:    chunk,
+			NormBitrate: nb / float64(reps),
+			StallPct:    sp / float64(reps),
+		}, nil
+	})
 }
 
 // Fig24Row compares ABR algorithms.

@@ -7,13 +7,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"github.com/midband5g/midband/internal/core"
 	"github.com/midband5g/midband/internal/fault"
-	"github.com/midband5g/midband/internal/fleet"
 	"github.com/midband5g/midband/internal/iperf"
 	"github.com/midband5g/midband/internal/lte"
 	"github.com/midband5g/midband/internal/net5g"
@@ -27,11 +25,6 @@ type Options struct {
 	// Quick shortens sessions for benchmarks and CI; full runs use the
 	// durations the figures need for stable statistics.
 	Quick bool
-	// Workers bounds the parallel fan-out of multi-arm sweeps
-	// (<=0: GOMAXPROCS; 1 forces serial execution). Every arm derives
-	// its randomness from Seed and its arm index, so any worker count
-	// produces identical rows.
-	Workers int
 	// Faults, when non-nil, threads a deterministic fault-injection
 	// schedule into the campaign-based experiments (Table1). Nil — the
 	// default — keeps every figure byte-identical to the fault-free
@@ -39,28 +32,51 @@ type Options struct {
 	Faults *fault.Schedule
 }
 
-// runArms fans the arms of a sweep through the fleet worker pool and
-// returns their results in arm order regardless of completion order.
-// Arms must be independent: each builds its own link/session from the
-// Options seed, never sharing mutable simulator state.
-func runArms[T any](o Options, keys []string, run func(i int) (T, error)) ([]T, error) {
-	jobs := make([]fleet.Job[T], len(keys))
-	for i := range jobs {
-		i := i
-		jobs[i] = fleet.Job[T]{
-			Key: keys[i],
-			Run: func(context.Context) (T, error) { return run(i) },
+// Plan splits an experiment into independent arms and a reducer that
+// assembles the result from the arm values in arm order. Every arm
+// derives its randomness from the Options seed and its arm index and
+// builds its own link or session, never sharing mutable simulator state,
+// so the arms may run in any order on any number of workers (cmd/figures
+// runs the arms of every selected figure on one fleet) and the reduced
+// result is identical. An arm returns a row-sized value, never a whole
+// session result, so a finished arm holds no per-slot series while it
+// waits for the reducer.
+type Plan[A, R any] struct {
+	Arms   int
+	Arm    func(i int) (A, error)
+	Reduce func(arms []A) (R, error)
+}
+
+// Run executes the arms serially, in arm order, and reduces them.
+func (p Plan[A, R]) Run() (R, error) {
+	arms := make([]A, p.Arms)
+	for i := range arms {
+		a, err := p.Arm(i)
+		if err != nil {
+			var zero R
+			return zero, err
 		}
+		arms[i] = a
 	}
-	results, err := fleet.Run(context.Background(), jobs, fleet.Options{Workers: o.Workers})
-	if err != nil {
-		return nil, err
+	return p.Reduce(arms)
+}
+
+// Single is the one-arm plan of an experiment that does not split.
+func Single[R any](o Options, run func(Options) (R, error)) Plan[R, R] {
+	return Plan[R, R]{
+		Arms:   1,
+		Arm:    func(int) (R, error) { return run(o) },
+		Reduce: func(arms []R) (R, error) { return arms[0], nil },
 	}
-	out := make([]T, len(results))
-	for i := range results {
-		out[i] = results[i].Value
+}
+
+// rowPlan is a plan whose arms are already the result rows.
+func rowPlan[A any](arms int, arm func(i int) (A, error)) Plan[A, []A] {
+	return Plan[A, []A]{
+		Arms:   arms,
+		Arm:    arm,
+		Reduce: func(rows []A) ([]A, error) { return rows, nil },
 	}
-	return out, nil
 }
 
 func (o Options) seed() int64 {

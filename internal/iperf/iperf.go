@@ -50,8 +50,8 @@ type Result struct {
 
 	// PCell DL KPI series (zero-valued on slots with no DL allocation).
 	MCS, Rank, RBs, REs, CQI []float64
-	// SINRdB, RSRQdB are PCell radio series (every slot).
-	SINRdB, RSRQdB []float64
+	// SINRdB is the PCell radio series (every slot).
+	SINRdB []float64
 	// Mod256 is 1.0 on slots transmitted with 256QAM, 0 otherwise;
 	// ModOrder is the modulation order (2/4/6/8).
 	Mod256, ModOrder []float64
@@ -90,7 +90,6 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 		res.REs = make([]float64, 0, steps)
 		res.CQI = make([]float64, 0, steps)
 		res.SINRdB = make([]float64, 0, steps)
-		res.RSRQdB = make([]float64, 0, steps)
 		res.Mod256 = make([]float64, 0, steps)
 		res.ModOrder = make([]float64, 0, steps)
 		res.ACK = make([]float64, 0, steps)
@@ -122,7 +121,6 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 
 		pc := &r.NR[0]
 		res.SINRdB = append(res.SINRdB, pc.Sample.SINRdB)
-		res.RSRQdB = append(res.RSRQdB, pc.Sample.RSRQdB)
 		res.CQI = append(res.CQI, float64(pc.CQI))
 		if pc.DL != nil {
 			res.MCS = append(res.MCS, float64(pc.DL.MCS))

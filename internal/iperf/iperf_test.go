@@ -42,7 +42,7 @@ func TestRunBasics(t *testing.T) {
 	for name, series := range map[string][]float64{
 		"dl": res.DLBitsPerSlot, "ul": res.ULBitsPerSlot, "mcs": res.MCS,
 		"rank": res.Rank, "rbs": res.RBs, "res": res.REs, "cqi": res.CQI,
-		"sinr": res.SINRdB, "rsrq": res.RSRQdB, "mod": res.ModOrder,
+		"sinr": res.SINRdB, "mod": res.ModOrder,
 		"m256": res.Mod256, "ack": res.ACK,
 	} {
 		if len(series) != wantLen {
