@@ -14,8 +14,10 @@ import (
 // static-geometry RSRP and noise terms) hoisted into the batch at
 // adoption time. Degradation episodes step inside the same loop, on the
 // lane's own RNG stream. The batch produces only what the cell's
-// schedulers consume — SINR and outage — so the RSRQ conversion and the
-// full Sample construction are skipped entirely on the fast path.
+// schedulers consume — SINR and outage — so the fast path skips the RSRQ
+// measurement terms and the full Sample construction. Fallback lanes get
+// a full Sample from Channel.Step, but RSRQ is derived only on read
+// (Sample.RSRQdB), so they never pay for the conversion either.
 //
 // Determinism contract: a batch-stepped channel produces bit-identical
 // SINR samples, in draw-for-draw identical RNG order, to the same channel

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -162,6 +163,105 @@ func TestBatchFallbackLanes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// batchMixConfigs derives a batch of 1–8 lanes from fuzz input. Every
+// lane shares one 1–4 site deployment and takes five bits of mix:
+// degradation episodes, a moving route, mmWave blockage, fault blackouts
+// and slow drift. Lanes with none of the middle three stay stationary and
+// fault-free, so they ride the SoA fast lane; the rest fall back.
+func batchMixConfigs(seed int64, nLanes, nSites uint8, mix uint64) []Config {
+	rng := rand.New(rand.NewSource(seed))
+	sites := make([]Point, 1+int(nSites)%4)
+	for i := range sites {
+		sites[i] = Point{X: rng.Float64()*1200 - 600, Y: rng.Float64()*1200 - 600}
+	}
+	cfgs := make([]Config, 1+int(nLanes)%8)
+	for i := range cfgs {
+		bits := mix >> (5 * i)
+		cfg := batchTestConfig(seed + int64(i))
+		cfg.Deployment.Sites = sites
+		p := Point{X: rng.Float64()*800 - 400, Y: rng.Float64()*800 - 400}
+		cfg.Route = Stationary(p)
+		if bits&1 != 0 {
+			cfg.Episodes = &EpisodeConfig{
+				RatePerSec:  1 + rng.Float64()*4,
+				MeanSeconds: 0.1 + rng.Float64()/2,
+				MinDepthDB:  2,
+				MaxDepthDB:  2 + rng.Float64()*10,
+			}
+		}
+		if bits&2 != 0 {
+			speed := MobilityWalking
+			if rng.Intn(2) == 1 {
+				speed = MobilityDriving
+			}
+			cfg.Route = Route{Waypoints: []Point{p, {X: p.X + 150, Y: p.Y - 60}}, SpeedMPS: speed}
+		}
+		if bits&4 != 0 {
+			cfg.CarrierFreqMHz = 28000
+			cfg.Blockage = &DefaultBlockage
+		}
+		if bits&8 != 0 {
+			cfg.Fault = &fault.Blackout{ProbPerSlot: 0.002, DurationSlots: 20 + rng.Intn(100), DepthDB: 60, Seed: seed ^ int64(i)}
+		}
+		if bits&16 != 0 {
+			cfg.SlowSigmaDB = 1.5
+			cfg.SlowCorrSeconds = 5
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs
+}
+
+// FuzzBatchMixedLanes checks Batch against per-channel Channel.Step over
+// generated mixes of stationary, episode, moving, blockage and blackout
+// lanes: every lane's SINR bits and outage flag must match the scalar
+// channel draw for draw, across a mid-run neighbor-load retune, and the
+// batch must put exactly the stationary fault-free lanes on its fast lane.
+func FuzzBatchMixedLanes(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(1), uint64(0x1f_0f_07_03_01), uint8(73))
+	f.Add(int64(7), uint8(7), uint8(3), uint64(0x2a5_a5a5_a5a5), uint8(0))
+	f.Add(int64(-5), uint8(0), uint8(2), uint64(0x11), uint8(200))
+	f.Add(int64(2024), uint8(5), uint8(0), ^uint64(0), uint8(30))
+	f.Fuzz(func(t *testing.T, seed int64, nLanes, nSites uint8, mix uint64, load uint8) {
+		cfgs := batchMixConfigs(seed, nLanes, nSites, mix)
+		scalars := make([]*Channel, len(cfgs))
+		adopted := make([]*Channel, len(cfgs))
+		fast := 0
+		for i, cfg := range cfgs {
+			scalars[i], adopted[i] = mustPair(t, cfg)
+			if cfg.Route.SpeedMPS == 0 && cfg.Blockage == nil && cfg.Fault == nil {
+				fast++
+			}
+		}
+		b, err := NewBatch(adopted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.FastLanes() != fast {
+			t.Fatalf("fast lanes %d, want %d", b.FastLanes(), fast)
+		}
+		sinr := make([]float64, b.Len())
+		outage := make([]bool, b.Len())
+		for slot := 0; slot < 4000; slot++ {
+			if slot == 1500 {
+				retune := float64(load) / 100
+				for _, s := range scalars {
+					s.SetNeighborLoad(retune)
+				}
+				b.SetNeighborLoad(retune)
+			}
+			b.StepInto(sinr, outage)
+			for i, s := range scalars {
+				want := s.Step()
+				if math.Float64bits(want.SINRdB) != math.Float64bits(sinr[i]) || want.Outage != outage[i] {
+					t.Fatalf("slot %d lane %d: batch (SINR bits %x, outage %v), scalar (%x, %v)",
+						slot, i, math.Float64bits(sinr[i]), outage[i], math.Float64bits(want.SINRdB), want.Outage)
+				}
+			}
+		}
+	})
 }
 
 // TestBatchStepAllocs pins the SoA loop at zero allocations per slot.

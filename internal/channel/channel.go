@@ -150,8 +150,9 @@ type Sample struct {
 	// RSRPdBm is the reference-signal received power (includes shadowing,
 	// excludes fast fading, as a filtered RSRP measurement would).
 	RSRPdBm float64
-	// RSRQdB is the reference-signal received quality.
-	RSRQdB float64
+	// rsrqSINRdB is the wideband signal-to-rest ratio the RSRQ
+	// measurement sees (−Inf in outage); RSRQdB derives RSRQ from it.
+	rsrqSINRdB float64
 	// SINRdB is the instantaneous post-fading SINR.
 	SINRdB float64
 	// LOS reports the blockage state (always true without a blockage
@@ -160,6 +161,11 @@ type Sample struct {
 	// Outage reports total service loss (mmWave coverage holes).
 	Outage bool
 }
+
+// RSRQdB returns the reference-signal received quality. It is derived on
+// read: the slot path stores only its input, so callers that never read
+// RSRQ never pay for the conversion.
+func (s *Sample) RSRQdB() float64 { return RSRQFromSINR(s.rsrqSINRdB) }
 
 // fadingKernel holds the per-slot AR(1) coefficients of the three fading
 // processes. dt and all correlation times are fixed per session and the
@@ -240,13 +246,6 @@ type Channel struct {
 	geoDataDBm float64 // 10·log10(noiseMW + data interference)
 	geoRSRQDBm float64 // 10·log10(noiseMW + RSRQ interference)
 	powers     []float64
-
-	// skipRSRQ, when set via SetRSRQNeeded(false), elides the RSRQ
-	// conversion (a pow and a log per slot) and reports Sample.RSRQdB as
-	// 0. Callers that consume nothing but SINR/outage — warm-up sessions,
-	// secondary carriers outside trace captures — toggle this; it touches
-	// no RNG stream, so every other field stays bit-identical.
-	skipRSRQ bool
 
 	// scan memoizes a moving UE's last site scan (nil when staticGeo).
 	// ShareSiteScans points same-geometry channels of one link at a
@@ -397,12 +396,9 @@ func (c *Channel) SetNeighborLoad(load float64) {
 // NeighborLoad reports the activity factor currently in effect.
 func (c *Channel) NeighborLoad() float64 { return c.cfg.NeighborLoad }
 
-// SetRSRQNeeded declares whether upcoming samples' RSRQdB field will be
-// read. When not needed the conversion is skipped and RSRQdB reports 0;
-// SINR, RSRP and every random draw are unaffected, so flipping the hint
-// mid-session never perturbs the fading processes. New channels default
-// to needed.
-func (c *Channel) SetRSRQNeeded(needed bool) { c.skipRSRQ = !needed }
+// SetRSRQNeeded does nothing: Sample.RSRQdB derives RSRQ on read. It is
+// kept only because the bench module's ledger (bench/midbench) calls it.
+func (c *Channel) SetRSRQNeeded(bool) {}
 
 // position returns the UE position after traveling for tSec seconds. The
 // route is walked back and forth (ping-pong) so long experiments stay on
@@ -499,25 +495,19 @@ func (c *Channel) StepInto(out *Sample) {
 		noiseDataDBm = 10 * math.Log10(c.noiseMW+interfData)
 	}
 	sinrDB := rsrp - blockLossDB + c.fastDB + c.slowDB + c.cfg.SINRBiasDB - noiseDataDBm
-	rsrqDB := 0.0
-	if !c.skipRSRQ {
-		// RSRQ is measured against a busier RSSI than the data SINR
-		// sees (see rsrqLoad).
-		var noiseRSRQDBm float64
-		if c.staticGeo {
-			noiseRSRQDBm = c.geoRSRQDBm
-		} else {
-			interfRSRQ := interfMW*rsrqLoad + c.floorMW
-			noiseRSRQDBm = 10 * math.Log10(c.noiseMW+interfRSRQ)
-		}
-		sinrRSRQ := rsrp - blockLossDB + c.slowDB + c.cfg.SINRBiasDB - noiseRSRQDBm
-		if outage {
-			sinrRSRQ = math.Inf(-1)
-		}
-		rsrqDB = RSRQFromSINR(sinrRSRQ)
+	// RSRQ is measured against a busier RSSI than the data SINR sees
+	// (see rsrqLoad); Sample.RSRQdB converts this on read.
+	var noiseRSRQDBm float64
+	if c.staticGeo {
+		noiseRSRQDBm = c.geoRSRQDBm
+	} else {
+		interfRSRQ := interfMW*rsrqLoad + c.floorMW
+		noiseRSRQDBm = 10 * math.Log10(c.noiseMW+interfRSRQ)
 	}
+	sinrRSRQ := rsrp - blockLossDB + c.slowDB + c.cfg.SINRBiasDB - noiseRSRQDBm
 	if outage {
 		sinrDB = math.Inf(-1)
+		sinrRSRQ = math.Inf(-1)
 	}
 
 	c.slot++
@@ -535,7 +525,7 @@ func (c *Channel) StepInto(out *Sample) {
 		Pos:         pos,
 		ServingCell: cell,
 		RSRPdBm:     rsrp - blockLossDB,
-		RSRQdB:      rsrqDB,
+		rsrqSINRdB:  sinrRSRQ,
 		SINRdB:      sinrDB,
 		LOS:         los,
 		Outage:      outage,

@@ -10,8 +10,9 @@ import (
 // referenceChannel is the straightforward per-slot implementation the
 // precomputed kernel replaced: every slot recomputes the AR(1)
 // coefficients, the dB→mW constants and the full site scan from scratch.
-// It replicates the pre-optimization Step expression for expression; the
-// production Channel must match it bit for bit.
+// It replicates the pre-optimization Step expression for expression,
+// converting RSRQ eagerly every slot; the production Channel must match it
+// bit for bit.
 type referenceChannel struct {
 	cfg      Config
 	rng      *rand.Rand
@@ -44,7 +45,9 @@ func newReferenceChannel(t *testing.T, cfg Config) *referenceChannel {
 	return ch
 }
 
-func (c *referenceChannel) step() Sample {
+// step returns the slot's sample together with its RSRQ, converted with
+// the independent referenceRSRQ.
+func (c *referenceChannel) step() (Sample, float64) {
 	dt := c.cfg.SlotDuration.Seconds()
 	tSec := float64(c.slot) * dt
 	pos := routePosition(c.cfg.Route, tSec)
@@ -99,11 +102,11 @@ func (c *referenceChannel) step() Sample {
 		Pos:         pos,
 		ServingCell: cell,
 		RSRPdBm:     rsrp - blockLossDB,
-		RSRQdB:      referenceRSRQ(sinrRSRQ),
+		rsrqSINRdB:  sinrRSRQ,
 		SINRdB:      sinrDB,
 		LOS:         los,
 		Outage:      outage,
-	}
+	}, referenceRSRQ(sinrRSRQ)
 }
 
 // referenceRSRQ is RSRQFromSINR with math.Pow for the dB→linear step, so
@@ -175,9 +178,10 @@ func kernelTrajectories() map[string]Config {
 }
 
 // TestKernelBitIdentity locks the precomputed slot path to the reference
-// implementation: every float64 of every sample must be identical to the
-// last bit over long trajectories. This is the determinism contract for
-// the performance work — precomputation must change cost, never output.
+// implementation: every float64 of every sample, and the RSRQ derived on
+// read from it, must be identical to the last bit over long trajectories.
+// This is the determinism contract for the performance work —
+// precomputation and deferral must change cost, never output.
 func TestKernelBitIdentity(t *testing.T) {
 	const slots = 200_000 // 100 simulated seconds at 0.5 ms slots
 	for name, cfg := range kernelTrajectories() {
@@ -187,10 +191,54 @@ func TestKernelBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newReferenceChannel(t, cfg)
+			outages := 0
 			for i := 0; i < slots; i++ {
-				so, sr := opt.Step(), ref.step()
+				so := opt.Step()
+				sr, rsrq := ref.step()
 				if !samplesBitIdentical(so, sr) {
 					t.Fatalf("slot %d: optimized %+v != reference %+v", i, so, sr)
+				}
+				if got := so.RSRQdB(); math.Float64bits(got) != math.Float64bits(rsrq) {
+					t.Fatalf("slot %d: RSRQdB() %v != reference %v", i, got, rsrq)
+				}
+				if so.Outage {
+					outages++
+				}
+			}
+			if cfg.Blockage != nil && outages == 0 {
+				t.Fatal("no outage slot: the run does not exercise RSRQ in outage")
+			}
+		})
+	}
+}
+
+// TestRSRQReadLeavesTrajectory pins RSRQ-on-read as free of side effects:
+// reading RSRQdB() any number of times at arbitrary slots returns the same
+// value each time and leaves every later sample bit-identical to a channel
+// whose RSRQ is never read.
+func TestRSRQReadLeavesTrajectory(t *testing.T) {
+	const slots = 20_000
+	for name, cfg := range kernelTrajectories() {
+		t.Run(name, func(t *testing.T) {
+			read, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unread, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pick := rand.New(rand.NewSource(cfg.Seed))
+			for i := 0; i < slots; i++ {
+				sr, su := read.Step(), unread.Step()
+				if !samplesBitIdentical(sr, su) {
+					t.Fatalf("slot %d: sample after RSRQ reads %+v != unread %+v", i, sr, su)
+				}
+				first := sr.RSRQdB()
+				for k := pick.Intn(4); k > 0; k-- {
+					if again := sr.RSRQdB(); math.Float64bits(again) != math.Float64bits(first) {
+						t.Fatalf("slot %d: repeated RSRQdB() %v != first read %v", i, again, first)
+					}
 				}
 			}
 		})
@@ -202,7 +250,7 @@ func samplesBitIdentical(a, b Sample) bool {
 		math.Float64bits(a.Pos.Y) == math.Float64bits(b.Pos.Y) &&
 		a.ServingCell == b.ServingCell &&
 		math.Float64bits(a.RSRPdBm) == math.Float64bits(b.RSRPdBm) &&
-		math.Float64bits(a.RSRQdB) == math.Float64bits(b.RSRQdB) &&
+		math.Float64bits(a.rsrqSINRdB) == math.Float64bits(b.rsrqSINRdB) &&
 		math.Float64bits(a.SINRdB) == math.Float64bits(b.SINRdB) &&
 		a.LOS == b.LOS &&
 		a.Outage == b.Outage

@@ -119,10 +119,11 @@ type CampaignStats struct {
 	MultiUE []MultiUEReport
 }
 
-// sessionOutcome is what one fleet job (one operator session) produces.
+// sessionOutcome is what one fleet job (one operator session) produces:
+// the session averages, not the full iperf.Result.
 type sessionOutcome struct {
-	res       *iperf.Result
-	tracePath string
+	dl, ul, nrUL, lteUL float64
+	tracePath           string
 	// clean/retx are the mean latencies, measured on the primary
 	// (session-index-0) job only, like the serial campaign did.
 	clean, retx time.Duration
@@ -188,7 +189,7 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, f
 			return nil, nil, fmt.Errorf("core: creating trace: %w", err)
 		}
 	}
-	res, err := sess.RunIperf(d, net5g.Saturate, w)
+	res, err := sess.runIperf(iperf.Config{Duration: d, Demand: net5g.Saturate, Discard: true}, w)
 	if err == nil && aborted {
 		err = fleet.Permanent(fault.ErrSessionAborted)
 		if obs.Enabled() {
@@ -219,7 +220,7 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, f
 		return nil, nil, fmt.Errorf("core: %s: %w", op.Acronym, err)
 	}
 	if m != nil {
-		m.SlotsSimulated.Add(int64(len(res.DLBitsPerSlot)))
+		m.SlotsSimulated.Add(int64(res.Steps))
 	}
 	return sess, res, nil
 }
@@ -284,13 +285,13 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 					// write-only here, so obs-on and obs-off campaigns
 					// aggregate byte-identically.
 					if obs.Enabled() {
-						if n := len(res.DLBitsPerSlot); n > 0 {
+						if n := res.Steps; n > 0 {
 							obs.Sim.SlotLatencyNs.Observe(float64(time.Since(t0).Nanoseconds()) / float64(n)) //detlint:allow walltime write-only metric; aggregates never depend on it
 						}
 						obs.Sim.SessionGoodputMbps.Observe(res.DLMbps)
 						obs.GoodputMbps(op.Acronym).Observe(res.DLMbps)
 					}
-					out := sessionOutcome{res: res, tracePath: path}
+					out := sessionOutcome{dl: res.DLMbps, ul: res.ULMbps, nrUL: res.NRULMbps, lteUL: res.LTEULMbps, tracePath: path}
 					if k == 0 {
 						// The primary session also probes §4.3 latency.
 						clean, retx, err := sess.RunLatency(cfg.LatencyProbes, 0.08)
@@ -339,17 +340,17 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 			if k == 0 {
 				primary = &r.Value
 			}
-			dl += o.res.DLMbps
-			ul += o.res.ULMbps
-			nrUL += o.res.NRULMbps
-			lteUL += o.res.LTEULMbps
+			dl += o.dl
+			ul += o.ul
+			nrUL += o.nrUL
+			lteUL += o.lteUL
 			nOK++
 			if k > 0 {
 				// Extra sessions at fresh channel realizations (§2:
 				// experiments repeat across time periods; single windows
 				// are congestion-episode lottery).
 				stats.Minutes += cfg.SessionDuration.Minutes()
-				stats.DataTB += (o.res.DLMbps + o.res.ULMbps) * 1e6 / 8 * cfg.SessionDuration.Seconds() / 1e12
+				stats.DataTB += (o.dl + o.ul) * 1e6 / 8 * cfg.SessionDuration.Seconds() / 1e12
 			}
 		}
 		rep := SessionReport{

@@ -120,11 +120,7 @@ func (s *Session) WarmUp() error {
 	}
 	s.rrc.Touch(s.Link.Now())
 	// 20 "seconds" of video in the paper; 1 simulated second of traffic
-	// is ample to settle CSI and OLLA here. The warm-up result is
-	// discarded and never traced, so the per-slot RSRQ conversion is
-	// skipped for its duration (no RNG stream is touched; the measurement
-	// run below re-enables it as needed).
-	s.Link.SetRSRQNeeded(false)
+	// is ample to settle CSI and OLLA here.
 	if _, err := iperf.Run(s.Link, iperf.Config{Duration: time.Second, Discard: true}); err != nil {
 		return fmt.Errorf("core: warm-up: %w", err)
 	}
@@ -143,15 +139,16 @@ func (s *Session) WarmUp() error {
 // columnar xcol.Writer. Pass a nil interface (not a typed nil) to skip
 // capture.
 func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWriter) (*iperf.Result, error) {
+	return s.runIperf(iperf.Config{Duration: d, Demand: demand}, w)
+}
+
+// runIperf is RunIperf for a measurement configured by cfg; the campaign
+// sets cfg.Discard because it reads only the session averages.
+func (s *Session) runIperf(cfg iperf.Config, w xcal.TraceWriter) (*iperf.Result, error) {
 	if err := s.WarmUp(); err != nil {
 		return nil, err
 	}
-	// RSRQ reaches an artifact only through the capture's KPI records
-	// (campaign aggregates and the figure pipelines read goodput/SINR/MCS
-	// series; iperf.Result keeps no RSRQ series), so untraced runs skip
-	// the per-slot conversion. The hint draws no randomness: every SINR sample, CQI
-	// report and scheduling decision is bit-identical either way.
-	s.Link.SetRSRQNeeded(w != nil)
+	var tap *dciTap
 	if w != nil {
 		mib, sibs, err := s.Signaling()
 		if err != nil {
@@ -165,55 +162,55 @@ func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWri
 				return nil, err
 			}
 		}
-	}
-	cfg := iperf.Config{Duration: d, Demand: demand, Trace: w}
-	if w != nil {
-		cfg.KeepRecords = true
+		tap = &dciTap{TraceWriter: w}
+		cfg.Trace = tap
 	}
 	res, err := iperf.Run(s.Link, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if w != nil {
-		if err := writeDCISamples(w, res.Records); err != nil {
-			return nil, err
+	if tap != nil {
+		for i := range tap.dcis {
+			if err := w.WriteDCI(&tap.dcis[i]); err != nil {
+				return nil, err
+			}
 		}
-		res.Records = nil // retained only for DCI synthesis
 	}
 	return res, nil
 }
 
-// writeDCISamples emits one DCI frame per captured DL allocation record,
-// subsampled to keep traces compact.
-func writeDCISamples(w xcal.TraceWriter, recs []xcal.SlotKPI) error {
-	const every = 16
-	n := 0
-	for i := range recs {
-		r := &recs[i]
-		if r.Dir != xcal.DL || r.RAT != xcal.NR || r.TBSBits == 0 {
-			continue
-		}
-		n++
-		if n%every != 0 {
-			continue
-		}
-		format := xcal.DCI10
-		if r.MCSTable == 2 {
-			format = xcal.DCI11
-		}
-		dci := xcal.DCI{
-			Slot:    r.Slot,
-			Format:  format,
-			Carrier: r.Carrier,
-			MCS:     r.MCS,
-			RBs:     r.RBs,
-			Rank:    r.Rank,
-			NDI:     r.HARQRetx == 0,
-		}
-		if err := w.WriteDCI(&dci); err != nil {
-			return err
-		}
+// dciTap writes KPI records through to the capture and keeps one DCI
+// frame per 16 DL NR allocation records (subsampled to keep traces
+// compact), which runIperf emits after the run.
+type dciTap struct {
+	xcal.TraceWriter
+	n    int
+	dcis []xcal.DCI
+}
+
+func (t *dciTap) WriteKPI(r *xcal.SlotKPI) error {
+	if err := t.TraceWriter.WriteKPI(r); err != nil {
+		return err
 	}
+	if r.Dir != xcal.DL || r.RAT != xcal.NR || r.TBSBits == 0 {
+		return nil
+	}
+	if t.n++; t.n%16 != 0 {
+		return nil
+	}
+	format := xcal.DCI10
+	if r.MCSTable == 2 {
+		format = xcal.DCI11
+	}
+	t.dcis = append(t.dcis, xcal.DCI{
+		Slot:    r.Slot,
+		Format:  format,
+		Carrier: r.Carrier,
+		MCS:     r.MCS,
+		RBs:     r.RBs,
+		Rank:    r.Rank,
+		NDI:     r.HARQRetx == 0,
+	})
 	return nil
 }
 

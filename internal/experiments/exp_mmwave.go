@@ -156,8 +156,6 @@ func Fig19Plan(o Options) Plan[Fig19Point, []Fig19Point] {
 			if err != nil {
 				return Fig19Point{}, err
 			}
-			// video.Play never reads RSRQ; skipping it draws no randomness.
-			link.SetRSRQNeeded(false)
 			for i := 0; i < 2000; i++ {
 				link.Step(net5g.Demand{DL: true})
 			}

@@ -279,7 +279,8 @@ func Fig07(o Options) ([]Fig07Series, error) {
 			sum := 0.0
 			const burst = 400
 			for k := 0; k < burst; k++ {
-				sum += ch.Step().RSRQdB
+				s := ch.Step()
+				sum += s.RSRQdB()
 			}
 			rsrq := sum / burst
 			series.Points = append(series.Points, Fig07Point{PosM: pos, RSRQdB: rsrq})

@@ -467,11 +467,9 @@ func (c *Carrier) Step(dl, ul Demand) SlotResult {
 	return res
 }
 
-// SetRSRQNeeded forwards the RSRQ need-hint to the carrier's channel
-// (see channel.Channel.SetRSRQNeeded): callers that never read
-// Sample.RSRQdB — warm-up traffic, uncaptured secondary carriers — skip
-// the per-slot conversion without touching any random stream.
-func (c *Carrier) SetRSRQNeeded(needed bool) { c.ch.SetRSRQNeeded(needed) }
+// SetRSRQNeeded does nothing: Sample.RSRQdB derives RSRQ on read. It is
+// kept only because the bench module's ledger (bench/midbench) calls it.
+func (c *Carrier) SetRSRQNeeded(bool) {}
 
 // StepInto is Step writing the result in place: the link's slot loop owns
 // per-carrier result storage, and threading it down here keeps the

@@ -27,10 +27,11 @@ type Config struct {
 	// for long runs; the per-series arrays are usually enough).
 	KeepRecords bool
 	// Discard skips collecting the per-slot series, leaving only the
-	// session-average throughputs in the result. Warm-up traffic whose
-	// result is thrown away uses this to keep the slot loop free of
-	// series appends; the simulation itself is unaffected — every slot
-	// is stepped identically either way.
+	// session averages and Steps in the result. It drops nothing else:
+	// Trace and KeepRecords see every record either way. Warm-up traffic
+	// and campaign sessions, which read only the averages, use it to keep
+	// the slot loop free of series appends; the simulation itself is
+	// unaffected — every slot is stepped identically either way.
 	Discard bool
 }
 
@@ -43,6 +44,8 @@ type Result struct {
 	// DLMbps and ULMbps are the session averages (UL includes the LTE
 	// leg; NRULMbps and LTEULMbps split it).
 	DLMbps, ULMbps, NRULMbps, LTEULMbps float64
+	// Steps is how many link steps the session ran.
+	Steps int
 
 	// DLBitsPerSlot and ULBitsPerSlot are aggregate goodput series
 	// across all carriers.
@@ -68,9 +71,6 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("iperf: duration %v invalid", cfg.Duration)
 	}
-	if cfg.Discard && (cfg.Trace != nil || cfg.KeepRecords) {
-		return nil, fmt.Errorf("iperf: Discard conflicts with Trace/KeepRecords")
-	}
 	demand := cfg.Demand
 	if !demand.DL && !demand.UL {
 		demand = net5g.Saturate
@@ -80,7 +80,7 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("iperf: duration %v shorter than one slot", cfg.Duration)
 	}
 
-	res := &Result{SlotDuration: link.SlotDuration()}
+	res := &Result{SlotDuration: link.SlotDuration(), Steps: steps}
 	if !cfg.Discard {
 		res.DLBitsPerSlot = make([]float64, 0, steps)
 		res.ULBitsPerSlot = make([]float64, 0, steps)
@@ -113,6 +113,19 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 		ulBits += float64(r.ULBits)
 		nrUL += float64(r.NRULBits)
 		lteUL += float64(r.LTEULBits)
+		if cfg.Trace != nil || cfg.KeepRecords {
+			recBuf = net5g.KPIRecords(r, recBuf[:0])
+			if cfg.Trace != nil {
+				for j := range recBuf {
+					if err := cfg.Trace.WriteKPI(&recBuf[j]); err != nil {
+						return nil, fmt.Errorf("iperf: writing trace: %w", err)
+					}
+				}
+			}
+			if cfg.KeepRecords {
+				res.Records = append(res.Records, recBuf...)
+			}
+		}
 		if cfg.Discard {
 			continue
 		}
@@ -147,20 +160,6 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 			res.ModOrder = append(res.ModOrder, 0)
 			res.Mod256 = append(res.Mod256, 0)
 			res.ACK = append(res.ACK, 1)
-		}
-
-		if cfg.Trace != nil || cfg.KeepRecords {
-			recBuf = net5g.KPIRecords(r, recBuf[:0])
-			if cfg.Trace != nil {
-				for j := range recBuf {
-					if err := cfg.Trace.WriteKPI(&recBuf[j]); err != nil {
-						return nil, fmt.Errorf("iperf: writing trace: %w", err)
-					}
-				}
-			}
-			if cfg.KeepRecords {
-				res.Records = append(res.Records, recBuf...)
-			}
 		}
 	}
 	seconds := cfg.Duration.Seconds()

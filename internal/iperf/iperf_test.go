@@ -158,3 +158,49 @@ func TestDefaultDemandSaturates(t *testing.T) {
 		t.Error("default demand should saturate both directions")
 	}
 }
+
+// TestDiscardKeepsTrace pins Discard as dropping only the per-slot
+// series: a traced run writes the same trace bytes, session averages and
+// step count with or without it.
+func TestDiscardKeepsTrace(t *testing.T) {
+	run := func(discard bool) (*Result, []byte) {
+		link := testLink(t, "Tmb_US", 31)
+		var buf bytes.Buffer
+		w, err := xcal.NewWriter(&buf, xcal.Meta{Operator: "Tmb_US", SlotDuration: link.SlotDuration()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(link, Config{Duration: time.Second, Trace: w, Discard: discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.Bytes()
+	}
+	full, fullTrace := run(false)
+	disc, discTrace := run(true)
+	if !bytes.Equal(fullTrace, discTrace) {
+		t.Errorf("Discard changed the trace: %d bytes, want %d", len(discTrace), len(fullTrace))
+	}
+	for _, m := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"DLMbps", disc.DLMbps, full.DLMbps},
+		{"ULMbps", disc.ULMbps, full.ULMbps},
+		{"NRULMbps", disc.NRULMbps, full.NRULMbps},
+		{"LTEULMbps", disc.LTEULMbps, full.LTEULMbps},
+	} {
+		if math.Float64bits(m.got) != math.Float64bits(m.want) {
+			t.Errorf("%s with Discard %v, without %v", m.name, m.got, m.want)
+		}
+	}
+	if disc.Steps != full.Steps || full.Steps != len(full.DLBitsPerSlot) {
+		t.Errorf("steps: Discard %d, full %d, full series %d", disc.Steps, full.Steps, len(full.DLBitsPerSlot))
+	}
+	if disc.DLBitsPerSlot != nil || disc.SINRdB != nil {
+		t.Error("Discard kept per-slot series")
+	}
+}

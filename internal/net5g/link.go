@@ -114,19 +114,9 @@ func (l *Link) Carriers() []*gnb.Carrier { return l.carriers }
 // Anchor returns the LTE anchor carrier (nil if none).
 func (l *Link) Anchor() *gnb.Carrier { return l.anchor }
 
-// SetRSRQNeeded forwards the RSRQ need-hint to every component carrier
-// and the LTE anchor (see channel.Channel.SetRSRQNeeded). Callers that
-// never read the step results' Sample.RSRQdB — warm-up traffic, untraced
-// bulk transfers — skip the per-slot dB conversion on every carrier
-// without touching any random stream.
-func (l *Link) SetRSRQNeeded(needed bool) {
-	for _, c := range l.carriers {
-		c.SetRSRQNeeded(needed)
-	}
-	if l.anchor != nil {
-		l.anchor.SetRSRQNeeded(needed)
-	}
-}
+// SetRSRQNeeded does nothing: Sample.RSRQdB derives RSRQ on read. It is
+// kept only because the bench module's ledger (bench/midbench) calls it.
+func (l *Link) SetRSRQNeeded(bool) {}
 
 // StepResult aggregates one link step.
 type StepResult struct {
@@ -278,7 +268,7 @@ func appendKPI(dst []xcal.SlotKPI, r *gnb.SlotResult, carrier uint8, rat xcal.RA
 		ServingCell: uint16(r.Sample.ServingCell),
 		SINRdB:      float32(r.Sample.SINRdB),
 		RSRPdBm:     float32(r.Sample.RSRPdBm),
-		RSRQdB:      float32(r.Sample.RSRQdB),
+		RSRQdB:      float32(r.Sample.RSRQdB()),
 		PosX:        float32(r.Sample.Pos.X),
 		PosY:        float32(r.Sample.Pos.Y),
 		Outage:      r.Sample.Outage,
