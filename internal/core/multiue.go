@@ -127,11 +127,16 @@ func RunMultiUEContext(ctx context.Context, cfg MultiUEConfig) ([]MultiUEReport,
 					return MultiUEReport{}, fmt.Errorf("core: %s: %w", op.Acronym, err)
 				}
 				steps := int(cfg.Duration / cell.SlotDuration())
+				if steps < 1 { // rates would be 0/0 (or per negative second)
+					return MultiUEReport{}, fmt.Errorf("core: %s: multi-UE duration %v covers no whole %v slot",
+						op.Acronym, cfg.Duration, cell.SlotDuration())
+				}
 				bits := make([]float64, n)
 				slots := make([]int64, n)
 				for s := 0; s < steps; s++ {
-					r := cell.Step()
-					for _, a := range r.Allocs {
+					allocs := cell.Step().Allocs
+					for i := range allocs {
+						a := &allocs[i]
 						bits[a.UE] += float64(a.Alloc.DeliveredBits)
 						slots[a.UE]++
 					}

@@ -35,6 +35,36 @@ func TestRunMultiUEParallelDeterminism(t *testing.T) {
 	}
 }
 
+// A duration that covers no slot used to report NaN rates (0 bits over
+// 0 seconds), and a negative one negative seconds; both are errors.
+func TestRunMultiUERejectsSubSlotDuration(t *testing.T) {
+	for _, d := range []time.Duration{100 * time.Microsecond, -time.Second} {
+		_, err := RunMultiUE(MultiUEConfig{
+			Operators:  campaignOps(t, "V_Sp"),
+			UEsPerCell: 4,
+			Policy:     gnb.SchedulerProportionalFair,
+			Duration:   d,
+			Seed:       42,
+		})
+		if err == nil {
+			t.Errorf("duration %v: RunMultiUE succeeded, want an error", d)
+		}
+	}
+	reports, err := RunMultiUE(MultiUEConfig{
+		Operators:  campaignOps(t, "V_Sp"),
+		UEsPerCell: 4,
+		Policy:     gnb.SchedulerProportionalFair,
+		Duration:   500 * time.Microsecond,
+		Seed:       42,
+	})
+	if err != nil {
+		t.Fatalf("one 500µs slot: %v", err)
+	}
+	if r := reports[0]; math.IsNaN(r.CellMbps) || math.IsNaN(r.PerUE[0].Mbps) {
+		t.Errorf("one 500µs slot reports NaN rates: %+v", r)
+	}
+}
+
 // -ues-per-cell 1 must be indistinguishable from a campaign built before
 // the multi-UE arm existed: same stats, same traces.
 func TestCampaignUEsPerCellOneIsLegacy(t *testing.T) {

@@ -153,33 +153,57 @@ func TestCellStepAllocs(t *testing.T) {
 }
 
 // TestCellContentionStepAllocs pins the contention model's steady-state
-// slot loop at zero allocations across all four policies. HARQ queues and
-// scratch slices reach their working size during warm-up; after that a
-// slot must not touch the allocator.
+// slot loop at zero allocations across all four policies, and at the
+// cell64 population under PF with finite traffic, where the ready set
+// churns and the PF ranking's scratch must already be sized by NewCell.
+// HARQ queues and scratch slices reach their working size during
+// warm-up; after that a slot must not touch the allocator.
 func TestCellContentionStepAllocs(t *testing.T) {
 	for _, policy := range []SchedulerPolicy{
 		SchedulerEqualShare, SchedulerProportionalFair, SchedulerMaxRate, SchedulerRoundRobin,
 	} {
 		t.Run(policy.String(), func(t *testing.T) {
-			cell, err := NewCell(CellConfig{
+			assertContentionStepZeroAlloc(t, CellConfig{
 				Carrier: benchCarrierConfig(),
 				UEs:     []channel.Point{{X: 120}, {X: 300}, {X: 480}, {X: 650}},
 				Policy:  policy,
 				Model:   CellModelContention,
 				Seed:    31,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 20_000; i++ {
-				cell.Step()
-			}
-			allocs := testing.AllocsPerRun(5000, func() {
-				cell.Step()
-			})
-			if allocs > 0 {
-				t.Errorf("Cell.Step contention (%v) allocates %.3f objects/slot in steady state, want 0", policy, allocs)
-			}
 		})
+	}
+	t.Run("proportional-fair/ues=64/finite", func(t *testing.T) {
+		traffic := make([]UETraffic, 64)
+		for i := range traffic {
+			if i%4 != 0 {
+				traffic[i].OfferedMbps = float64(2 + i%7*3)
+			}
+		}
+		assertContentionStepZeroAlloc(t, CellConfig{
+			Carrier: benchCarrierConfig(),
+			UEs:     benchUEs(64),
+			Policy:  SchedulerProportionalFair,
+			Model:   CellModelContention,
+			Seed:    31,
+			Traffic: traffic,
+		})
+	})
+}
+
+func assertContentionStepZeroAlloc(t *testing.T, cfg CellConfig) {
+	t.Helper()
+	cell, err := NewCell(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20_000; i++ {
+		cell.Step()
+	}
+	allocs := testing.AllocsPerRun(5000, func() {
+		cell.Step()
+	})
+	if allocs > 0 {
+		t.Errorf("Cell.Step contention (%v, %d UEs) allocates %.3f objects/slot in steady state, want 0",
+			cfg.Policy, len(cfg.UEs), allocs)
 	}
 }

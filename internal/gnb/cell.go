@@ -2,7 +2,6 @@ package gnb
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -172,14 +171,19 @@ type Cell struct {
 	// Per-slot scratch, reused so the steady-state loop allocates nothing.
 	// order is the scheduler's working set: the UE indices eligible this
 	// slot, in grant order (ascending UE index, except that PF co-sorts
-	// it by descending metric). rb holds the contention model's integer
-	// RB shares, index-matched with order.
+	// it by descending metric, ties by ascending index). rb holds the
+	// contention model's integer RB shares, index-matched with order.
 	order     []int
 	rb        []int
 	grants    []grant
-	scores    []pfScore
 	servedNow []float64
 	allocs    []UEAlloc
+
+	// PF ranking state: scores is the last rankPF ranking, which seeds
+	// the next; pfMetric and pfMember are index-matched with ues.
+	scores   []pfScore
+	pfMetric []float64
+	pfMember []bool
 
 	// Scheduler state: the round-robin cursor (both models), and the
 	// contention model's smoothed RB utilization for load coupling and
@@ -289,6 +293,8 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	cell.rb = make([]int, 0, n)
 	cell.grants = make([]grant, 0, n)
 	cell.scores = make([]pfScore, 0, n)
+	cell.pfMetric = make([]float64, n)
+	cell.pfMember = make([]bool, n)
 	cell.servedNow = make([]float64, n)
 	cell.allocs = make([]UEAlloc, 0, n)
 	if cfg.Model == CellModelContention {
@@ -436,29 +442,55 @@ func (c *Cell) scheduleShare(dlSym int) []UEAlloc {
 	return allocs
 }
 
-// rankPF scores order's UEs by the PF metric (instantaneous rate over
-// window-smoothed served rate) and co-sorts the scores and order by
-// descending metric; the insertion sort is stable, so ties keep UE-index
-// order. It returns the scores and their sum, accumulated in UE-index
-// order before the sort.
+// rankPF scores order's UEs (ascending UE index) by the PF metric
+// (instantaneous rate over window-smoothed served rate), summing the
+// metrics in that order, and co-sorts the scores and order by descending
+// metric, ties broken by ascending UE index. The insertion sort starts
+// from the previous call's ranking, which the slowly moving served window
+// keeps nearly sorted. No metric is NaN (served ≥ 1), so the order is
+// total: the result is the one a stable sort from index order gives.
 //
 //detlint:zeroalloc
 func (c *Cell) rankPF(order []int) ([]pfScore, float64) {
-	ss := c.scores[:0]
 	total := 0.0
 	for _, idx := range order {
 		m := c.instSE[idx] / c.served[idx]
-		ss = append(ss, pfScore{idx, m})
+		c.pfMetric[idx] = m
+		c.pfMember[idx] = true
 		total += m
 	}
-	c.scores = ss
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].metric > ss[j-1].metric; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-			order[j], order[j-1] = order[j-1], order[j]
+	// Seed: the previous ranking filtered in place to this set, then the
+	// newcomers in index order, clearing each mark as it is consumed.
+	ss := c.scores[:0]
+	for _, s := range c.scores {
+		if c.pfMember[s.idx] {
+			c.pfMember[s.idx] = false
+			ss = append(ss, pfScore{s.idx, c.pfMetric[s.idx]})
 		}
 	}
+	for _, idx := range order {
+		if c.pfMember[idx] {
+			c.pfMember[idx] = false
+			ss = append(ss, pfScore{idx, c.pfMetric[idx]})
+		}
+	}
+	for i := 1; i < len(ss); i++ {
+		s, j := ss[i], i
+		for ; j > 0 && pfBefore(s, ss[j-1]); j-- {
+			ss[j] = ss[j-1]
+		}
+		ss[j] = s
+	}
+	for i, s := range ss {
+		order[i] = s.idx
+	}
+	c.scores = ss
 	return ss, total
+}
+
+// pfBefore is rankPF's order: descending metric, then ascending UE index.
+func pfBefore(a, b pfScore) bool {
+	return a.metric > b.metric || a.metric == b.metric && a.idx < b.idx //detlint:allow floatcmp equal metrics tie-break on the UE index
 }
 
 // updatePFWindow folds one slot's delivered bits into every UE's
@@ -472,8 +504,8 @@ func (c *Cell) updatePFWindow(allocs []UEAlloc) {
 	for i := range servedNow {
 		servedNow[i] = 0
 	}
-	for _, a := range allocs {
-		servedNow[a.UE] = float64(a.Alloc.DeliveredBits)
+	for i := range allocs {
+		servedNow[allocs[i].UE] = float64(allocs[i].Alloc.DeliveredBits)
 	}
 	served := c.served
 	for i := range served {
@@ -495,7 +527,7 @@ func (c *Cell) dlSymbols(slot int64) int {
 //
 //detlint:zeroalloc
 func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
-	cfg := c.cfg.Carrier
+	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	report := ue.Report{CQI: c.cqi[idx], RI: c.ri[idx]}
 	row, err := c.csiCfg.Table.Lookup(report.CQI)
@@ -532,7 +564,7 @@ func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
 	} else {
 		c.olla[idx] -= 0.05
 	}
-	c.olla[idx] = math.Max(-6, math.Min(3, c.olla[idx]))
+	c.olla[idx] = max(-6, min(3, c.olla[idx]))
 	delivered := 0
 	if ack {
 		delivered = tbs

@@ -348,7 +348,7 @@ func TestCellBatchLockstepFaults(t *testing.T) {
 	}
 }
 
-// fuzzCellConfig decodes fuzz inputs into a contention cell: 1–32 UEs on
+// fuzzCellConfig decodes fuzz inputs into a contention cell: 1–64 UEs on
 // a grid, one of the four policies, a per-UE traffic mix (byte 0 is a
 // full-buffer UE, b > 0 offers b/4 Mbps; an empty mix is all full-buffer),
 // and flag bits for DisableLoadCoupling (1), a -faults style blackout
@@ -359,7 +359,7 @@ func TestCellBatchLockstepFaults(t *testing.T) {
 // close inside the run.
 func fuzzCellConfig(t *testing.T, nUEs, policy, flags uint8, traffic []byte, seed int64) CellConfig {
 	t.Helper()
-	n := 1 + int(nUEs)%32
+	n := 1 + int(nUEs)%64
 	ues := make([]channel.Point, n)
 	for i := range ues {
 		ues[i] = channel.Point{X: 40 + float64(i%8)*60, Y: float64(i/8) * 50}
@@ -449,7 +449,8 @@ func FuzzCellOracleLockstep(f *testing.F) {
 	f.Add(uint8(31), uint8(0), uint8(5), []byte{}, int64(-7))
 	f.Add(uint8(0), uint8(2), uint8(2), []byte{5}, int64(2024))
 	f.Add(uint8(12), uint8(3), uint8(0xfe), []byte{0, 0, 255, 1}, int64(41))
-	f.Add(uint8(7), uint8(1), uint8(0x3c), []byte{0, 40}, int64(29)) // episodes; see TestFuzzEpisodeSeedCycles
+	f.Add(uint8(7), uint8(1), uint8(0x3c), []byte{0, 40}, int64(29))           // episodes; see TestFuzzEpisodeSeedCycles
+	f.Add(uint8(63), uint8(1), uint8(4), []byte{0, 12, 60, 3, 200}, int64(64)) // the cell64 population under PF, churning
 	f.Fuzz(func(t *testing.T, nUEs, policy, flags uint8, traffic []byte, seed int64) {
 		cfg := fuzzCellConfig(t, nUEs, policy, flags, traffic, seed)
 		cell, oracle := lockstepCells(t, cfg)

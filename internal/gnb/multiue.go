@@ -223,8 +223,8 @@ func (c *Cell) scheduleContention(slot int64, dlSym int) []UEAlloc {
 //detlint:zeroalloc
 func (c *Cell) coupleLoad(slot int64, allocs []UEAlloc) {
 	granted := 0
-	for _, a := range allocs {
-		granted += a.Alloc.RBs
+	for i := range allocs {
+		granted += allocs[i].Alloc.RBs
 	}
 	util := float64(granted) / float64(c.cfg.Carrier.NRB)
 	c.loadEMA += (util - c.loadEMA) / loadEMAWindow
@@ -239,7 +239,7 @@ func (c *Cell) coupleLoad(slot int64, allocs []UEAlloc) {
 //
 //detlint:zeroalloc
 func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, rbs int) (harqJob, bool) {
-	cfg := c.cfg.Carrier
+	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	row, err := c.csiCfg.Table.Lookup(report.CQI)
 	if err != nil {
@@ -289,7 +289,7 @@ func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, r
 //
 //detlint:zeroalloc
 func (c *Cell) deliver(slot int64, idx int, job harqJob, sinrDB float64) (Alloc, bool) {
-	cfg := c.cfg.Carrier
+	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	perLayer := sinrDB - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, job.rank)
 	perLayer += harqCombineGainDB * float64(job.retx)
@@ -304,7 +304,7 @@ func (c *Cell) deliver(slot int64, idx int, job harqJob, sinrDB float64) (Alloc,
 		} else {
 			c.olla[idx] -= 0.05
 		}
-		c.olla[idx] = math.Max(-6, math.Min(3, c.olla[idx]))
+		c.olla[idx] = max(-6, min(3, c.olla[idx]))
 	}
 	delivered := 0
 	if ack {

@@ -29,6 +29,7 @@ import (
 	"github.com/midband5g/midband/internal/gnb"
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/operators"
+	"github.com/midband5g/midband/internal/phy"
 )
 
 // SchemaVersion is the scenario spec layout version this package
@@ -379,6 +380,18 @@ func (s *Spec) Validate() error {
 	if total := sec * float64(ops*s.Sessions.Count); !(total <= maxSessionSec) {
 		return fmt.Errorf("scenario: %s: %g s per session × %d operators × %d sessions = %g simulated seconds exceeds the limit of %g",
 			s.Name, sec, ops, s.Sessions.Count, total, float64(maxSessionSec))
+	}
+	if s.Population.UEsPerCell > 1 {
+		plan, err := s.Operators()
+		if err != nil {
+			return err
+		}
+		for _, op := range plan { // the multi-UE arm steps each primary carrier for one session
+			if mu, err := phy.FromSCS(op.PCell().SCSkHz); err == nil && s.Duration() < mu.SlotDuration() {
+				return fmt.Errorf("scenario: %s: ues_per_cell needs sessions of at least one slot, but %v is shorter than %s's %v slot",
+					s.Name, s.Duration(), op.Acronym, mu.SlotDuration())
+			}
+		}
 	}
 	return nil
 }

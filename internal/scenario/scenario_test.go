@@ -156,6 +156,10 @@ func TestValidateCrossField(t *testing.T) {
 		{"zero count", func(s *Spec) { s.Sessions.Count = -1 }, "sessions.count -1 < 1"},
 		{"no duration", func(s *Spec) { s.Sessions.DurationSec = 0 }, "duration_sec 0 must be positive"},
 		{"too many ues", func(s *Spec) { s.Population.UEsPerCell = 1e8 }, "ues_per_cell 100000000 exceeds the limit of 4096"},
+		{"sub-slot multi-UE", func(s *Spec) {
+			s.Population.UEsPerCell, s.Population.CellPolicy = 4, "pf"
+			s.Sessions.DurationSec = 0.0001
+		}, "100µs is shorter than V_Sp's 500µs slot"},
 		{"too many sessions", func(s *Spec) { s.Sessions.Count = 1e6 }, "sessions.count 1000000 exceeds the limit of 10000"},
 		{"too much session time", func(s *Spec) { s.Sessions.DurationSec = 2e6 }, "simulated seconds exceeds the limit of 1e+06"},
 		{"huge video", func(s *Spec) {
@@ -169,6 +173,13 @@ func TestValidateCrossField(t *testing.T) {
 		if err := mutate(c.fn).Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Validate = %v, want it to mention %q", c.name, err, c.want)
 		}
+	}
+	oneSlot := mutate(func(s *Spec) {
+		s.Population.UEsPerCell, s.Population.CellPolicy = 4, "pf"
+		s.Sessions.DurationSec = 0.0005
+	})
+	if err := oneSlot.Validate(); err != nil {
+		t.Errorf("a one-slot multi-UE session: Validate = %v, want nil", err)
 	}
 }
 
