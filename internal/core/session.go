@@ -231,10 +231,10 @@ func (s *Session) RunLatency(n int, bler float64) (clean, retx []time.Duration, 
 }
 
 // RunVideo streams a DASH session after warm-up. When w is non-nil the
-// session writes the full cross-layer capture the §6 analysis needs:
-// signaling, per-slot KPI records from a parallel probe of the same channel
-// realization, and application events annotating every chunk decision and
-// stall — the material for cross-correlating PHY KPIs with ABR decisions.
+// session writes signaling and application events annotating every
+// chunk decision and stall — the §6 material for correlating ABR
+// decisions with the network.
+// Like video.Play, it leaves the link at the last chunk's arrival.
 func (s *Session) RunVideo(cfg video.SessionConfig, w xcal.TraceWriter) (*video.Result, error) {
 	if err := s.WarmUp(); err != nil {
 		return nil, err

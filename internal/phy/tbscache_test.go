@@ -1,7 +1,9 @@
 package phy
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -71,6 +73,98 @@ func TestTBSCacheRejectsBadInputs(t *testing.T) {
 	if _, err := NewTBSCache(MCSTable(9), 12, 0).TBS(13, 100, 10, 2); err == nil {
 		t.Error("unknown table: want error")
 	}
+}
+
+// tbsCacheID names one carrier configuration of FuzzTBSCache.
+type tbsCacheID struct {
+	table          MCSTable
+	dmrs, overhead int
+}
+
+// fuzzTBSCaches keeps one cache per configuration across fuzz calls, so
+// later inputs probe tables that earlier ones filled and grew.
+var fuzzTBSCaches = map[tbsCacheID]*TBSCache{}
+
+// directTBS is the uncached computation a carrier's TBSCache stands for:
+// the package-level TBS with the carrier's DMRS clamp.
+func directTBS(id tbsCacheID, symbols, prbs int, mcs uint8, layers int) (int, error) {
+	row, err := id.table.Lookup(mcs)
+	if err != nil {
+		return 0, err
+	}
+	dmrs := min(id.dmrs, SubcarriersPerRB*symbols)
+	return TBS(TBSParams{
+		Symbols: symbols, DMRSPerPRB: dmrs, OverheadPerPRB: id.overhead,
+		PRBs: prbs, MCS: row, Layers: layers,
+	})
+}
+
+// FuzzTBSCache checks TBSCache.TBS against directTBS, value and error,
+// over symbols 0–15, PRBs 0–1100 (both sides of the 10-bit key), MCS
+// 0–31, layers 0–5, both tables and several DMRS/overhead settings,
+// valid or not. Each input checks its own tuple twice (miss, then hit)
+// and then a burst of generated tuples, enough to grow a fresh table
+// past its initial size. A quarter of the burst repeats earlier tuples;
+// some of the rest are key neighbours of earlier tuples, one symbol
+// apart and 1024 PRBs the other way, which would share a key if PRBs
+// past the 10-bit field were packed.
+func FuzzTBSCache(f *testing.F) {
+	f.Add(int64(1), uint8(13), uint16(273), uint8(27), uint8(4), true, uint8(2), uint8(0))
+	f.Add(int64(7), uint8(2), uint16(1023), uint8(28), uint8(1), false, uint8(5), uint8(1))
+	f.Add(int64(-3), uint8(14), uint16(1024), uint8(31), uint8(5), true, uint8(4), uint8(4))
+	f.Add(int64(2024), uint8(0), uint16(0), uint8(0), uint8(0), false, uint8(0), uint8(3))
+	dmrsChoices := []int{0, 6, 12, 24, 36, 200}
+	overheadChoices := []int{0, 6, 12, 18, 5}
+	f.Fuzz(func(t *testing.T, seed int64, sym uint8, prbs uint16, mcs uint8, layers uint8, table256 bool, dmrsSel, ohSel uint8) {
+		id := tbsCacheID{table: MCSTable64QAM, dmrs: dmrsChoices[int(dmrsSel)%len(dmrsChoices)], overhead: overheadChoices[int(ohSel)%len(overheadChoices)]}
+		if table256 {
+			id.table = MCSTable256QAM
+		}
+		cache := fuzzTBSCaches[id]
+		if cache == nil {
+			cache = NewTBSCache(id.table, id.dmrs, id.overhead)
+			fuzzTBSCaches[id] = cache
+		}
+		check := func(sym, prbs int, mcs uint8, layers int) {
+			want, wantErr := directTBS(id, sym, prbs, mcs, layers)
+			got, gotErr := cache.TBS(sym, prbs, mcs, layers)
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%+v sym=%d prbs=%d mcs=%d layers=%d: cache (%d, %v), direct (%d, %v)",
+					id, sym, prbs, mcs, layers, got, gotErr, want, wantErr)
+			}
+		}
+		s, p, m, l := int(sym%16), int(prbs%1101), mcs%32, int(layers%6)
+		check(s, p, m, l)
+		check(s, p, m, l)
+
+		type tuple struct {
+			sym, prbs int
+			mcs       uint8
+			layers    int
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var seen []tuple
+		for range 4096 {
+			var u tuple
+			switch {
+			case len(seen) > 0 && rng.Intn(4) == 0:
+				u = seen[rng.Intn(len(seen))]
+			case len(seen) > 0 && rng.Intn(8) == 0:
+				u = seen[rng.Intn(len(seen))]
+				if u.prbs >= 1024 {
+					u.sym, u.prbs = u.sym+1, u.prbs-1024
+				} else {
+					u.sym, u.prbs = u.sym-1, u.prbs+1024
+				}
+			case rng.Intn(4) == 0: // anywhere, unpackable and invalid included
+				u = tuple{rng.Intn(16), rng.Intn(1101), uint8(rng.Intn(32)), rng.Intn(6)}
+			default: // packable
+				u = tuple{1 + rng.Intn(14), 1 + rng.Intn(1023), uint8(rng.Intn(29)), 1 + rng.Intn(4)}
+			}
+			seen = append(seen, u)
+			check(u.sym, u.prbs, u.mcs, u.layers)
+		}
+	})
 }
 
 // TestDerivedTablesBitIdentical locks the init-time precomputed spectral

@@ -143,7 +143,7 @@ func runAppSession(sess *core.Session, s *Spec, d time.Duration, opts Options) (
 	case AppWeb:
 		return runWebSession(sess, s, d, opts.Metrics)
 	case AppVoIP:
-		return runVoIPSession(sess, s, d, opts.Metrics)
+		return runVoIPSession(sess, s)
 	case AppGaming:
 		return runGamingSession(sess, s, d)
 	case AppUplink:
@@ -190,21 +190,12 @@ func runWebSession(sess *core.Session, s *Spec, d time.Duration, m *fleet.Metric
 	return out, nil
 }
 
-// runVoIPSession holds the bearer for the call duration (a VoIP flow is
-// far below link capacity, so the link idles) and samples ProbeCount
-// user-plane latency probes from the operator's §4.3 profile, with
-// retransmissions — the distribution the E-model scores.
-func runVoIPSession(sess *core.Session, s *Spec, d time.Duration, m *fleet.Metrics) (appOutcome, error) {
-	link := sess.Link
-	deadline := link.Now() + d
-	steps := 0
-	for link.Now() < deadline {
-		link.Step(net5g.Demand{})
-		steps++
-	}
-	if m != nil {
-		m.SlotsSimulated.Add(int64(steps))
-	}
+// runVoIPSession samples ProbeCount user-plane latency probes from the
+// operator's §4.3 profile, with retransmissions — the distribution the
+// E-model scores. A VoIP flow is far below link capacity and the probes
+// come from their own seeded latency model, so the call never steps the
+// link.
+func runVoIPSession(sess *core.Session, s *Spec) (appOutcome, error) {
 	_, retx, err := sess.RunLatency(s.Traffic.ProbeCount, latencyBLER)
 	if err != nil {
 		return appOutcome{}, err

@@ -24,7 +24,7 @@ type SessionConfig struct {
 	MaxBufferSec float64
 	// ThroughputWindow is the harmonic-mean window in chunks (default 4).
 	ThroughputWindow int
-	// Share is the UE's share of cell resources (default 1).
+	// Share is the UE's share of cell resources, in (0, 1] (default 1).
 	Share float64
 	// Edge, when non-nil, charges every chunk request an MEC-aware
 	// round trip before its first byte (see EdgeConfig). Nil keeps the
@@ -63,6 +63,9 @@ func (c SessionConfig) Validate() error {
 	// smaller than one chunk would wait forever on an empty buffer.
 	if c.MaxBufferSec < c.ChunkLength.Seconds() {
 		return fmt.Errorf("video: buffer cap %gs smaller than one chunk (%v)", c.MaxBufferSec, c.ChunkLength)
+	}
+	if !(c.Share > 0 && c.Share <= 1) {
+		return fmt.Errorf("video: share %g outside (0, 1]", c.Share)
 	}
 	if c.Edge != nil {
 		if err := c.Edge.Validate(); err != nil {
@@ -126,7 +129,10 @@ func (r *Result) StallPct() float64 {
 	return 100 * float64(r.StallTime) / float64(total)
 }
 
-// Play streams a session over the link and returns its QoE result.
+// Play streams a session over the link and returns its QoE result. It
+// steps the link until the last chunk arrives and leaves it there; the
+// remaining buffer plays out on a local clock, since an idle slot
+// delivers no DL bits and the bookkeeping reads only those and the clock.
 func Play(link *net5g.Link, cfg SessionConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -149,48 +155,50 @@ func Play(link *net5g.Link, cfg SessionConfig) (*Result, error) {
 		sampleAcc   float64 // bits accumulated since last 100 ms sample
 		sampleSlots int
 	)
-	slotSec := link.SlotDuration().Seconds()
+	slot := link.SlotDuration()
+	slotSec := slot.Seconds()
 	samplePeriod := int(0.1/slotSec + 0.5)
 	if samplePeriod < 1 {
 		samplePeriod = 1
 	}
 
-	// step advances the link one slot with the given demand, maintaining
-	// playback, stalls and traces.
-	step := func(download bool) int {
-		r := link.Step(net5g.Demand{DL: download, Share: cfg.Share})
+	// account books one slot that ended at now and delivered bits:
+	// playback, stalls and the 100 ms traces.
+	account := func(now time.Duration, bits int) {
 		if playing {
 			if buffer > 0 {
 				buffer -= slotSec
-				res.PlayTime += link.SlotDuration()
+				res.PlayTime += slot
 				if buffer < 0 {
 					buffer = 0
 				}
 				if inStall {
-					res.Stalls = append(res.Stalls, StallEvent{Start: stallStart, Duration: link.Now() - stallStart})
-					res.StallTime += link.Now() - stallStart
+					res.Stalls = append(res.Stalls, StallEvent{Start: stallStart, Duration: now - stallStart})
+					res.StallTime += now - stallStart
 					inStall = false
 				}
 			} else if !inStall {
 				inStall = true
-				stallStart = link.Now()
+				stallStart = now
 			}
 		}
-		sampleAcc += float64(r.DLBits)
+		sampleAcc += float64(bits)
 		sampleSlots++
 		if sampleSlots == samplePeriod {
 			mbps := sampleAcc / (float64(samplePeriod) * slotSec) / 1e6
 			res.ThroughputTrace = append(res.ThroughputTrace, mbps)
-			res.BufferTrace = append(res.BufferTrace, [2]float64{link.Now().Seconds(), buffer})
+			res.BufferTrace = append(res.BufferTrace, [2]float64{now.Seconds(), buffer})
 			sampleAcc, sampleSlots = 0, 0
 		}
+	}
+	// step advances the link one slot with the given demand.
+	step := func(download bool) int {
+		r := link.Step(net5g.Demand{DL: download, Share: cfg.Share})
+		account(link.Now(), r.DLBits)
 		return r.DLBits
 	}
 
 	harmonic := func() float64 {
-		if len(recent) == 0 {
-			return 0
-		}
 		inv := 0.0
 		for _, t := range recent {
 			if t <= 0 {
@@ -240,7 +248,7 @@ func Play(link *net5g.Link, cfg SessionConfig) (*Result, error) {
 			// travels to the edge cache (hit) or the origin CDN (miss).
 			// Playback continues, so shallow buffers drain into stalls.
 			rec.EdgeHit = cfg.Edge.Hit(i)
-			for wait := cfg.Edge.RTT(i); wait > 0; wait -= link.SlotDuration() {
+			for wait := cfg.Edge.RTT(i); wait > 0; wait -= slot {
 				step(false)
 			}
 		}
@@ -266,13 +274,11 @@ func Play(link *net5g.Link, cfg SessionConfig) (*Result, error) {
 		bitrateSum += cfg.Ladder[q]
 	}
 
-	// Drain the buffer to finish playback.
-	for buffer > 0 {
-		step(false)
-	}
-	if inStall {
-		res.StallTime += link.Now() - stallStart
-		res.Stalls = append(res.Stalls, StallEvent{Start: stallStart, Duration: link.Now() - stallStart})
+	// Play out the buffer without the link (see above). The last chunk
+	// left it non-empty, so the first slot closes any open stall.
+	for now := link.Now(); buffer > 0; {
+		now += slot
+		account(now, 0)
 	}
 	if numChunks > 0 {
 		res.AvgQuality = qualitySum / float64(numChunks)

@@ -1,6 +1,7 @@
 package video
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -125,6 +126,11 @@ func TestPlayValidation(t *testing.T) {
 		{Ladder: Ladder400, ChunkLength: 4 * time.Second, VideoDuration: time.Second, ABR: NewBOLA()},
 		{Ladder: Ladder400, ChunkLength: 4 * time.Second, VideoDuration: time.Minute},
 		{Ladder: Ladder{5, 1}, ChunkLength: 4 * time.Second, VideoDuration: time.Minute, ABR: NewBOLA()},
+	}
+	// A share outside (0, 1]: negative and NaN shares skip every grant
+	// (Play would never return), larger ones over-allocate the carrier.
+	for _, share := range []float64{-0.5, math.NaN(), 1.000001, 1e6, math.Inf(1), math.Inf(-1)} {
+		bad = append(bad, SessionConfig{Ladder: Ladder400, ChunkLength: 4 * time.Second, VideoDuration: 8 * time.Second, ABR: NewBOLA(), Share: share})
 	}
 	for i, cfg := range bad {
 		if _, err := Play(l, cfg); err == nil {

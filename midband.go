@@ -130,7 +130,8 @@ func RunIperf(link *Link, d time.Duration) (*IperfResult, error) {
 	return iperf.Run(link, iperf.Config{Duration: d})
 }
 
-// StreamVideo plays a DASH session over the link.
+// StreamVideo plays a DASH session over the link and leaves the link at
+// the last chunk's arrival; the buffer plays out without stepping it.
 func StreamVideo(link *Link, cfg VideoSession) (*VideoResult, error) {
 	return video.Play(link, cfg)
 }
