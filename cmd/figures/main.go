@@ -21,8 +21,12 @@
 //
 // Usage:
 //
-//	figures [-quick] [-seed N] [-only fig11,fig12,...] [-parallel N]
+//	figures [-quick] [-seed N] [-only fig11,fig12,...|none] [-parallel N]
 //	        [-csv DIR] [-obs-listen :9090] [-progress 2s]
+//
+// -only takes the figure keys (table1, tables23, sec32, fig01..fig24,
+// sec7, exta..extf); an unknown key is an error that lists them, and
+// none selects nothing (the run prints nothing).
 package main
 
 import (
@@ -34,6 +38,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,7 +69,7 @@ func main() {
 	var opt options
 	flag.BoolVar(&opt.quick, "quick", false, "run shortened sessions")
 	flag.Int64Var(&opt.seed, "seed", 2024, "simulation seed")
-	flag.StringVar(&opt.only, "only", "", "comma-separated subset, e.g. fig01,fig11,table1")
+	flag.StringVar(&opt.only, "only", "", "comma-separated subset, e.g. fig01,fig11,table1 (none selects nothing; an unknown key is an error)")
 	flag.StringVar(&opt.csvDir, "csv", "", "also write machine-readable CSV files to this directory")
 	flag.IntVar(&opt.parallel, "parallel", 0, "concurrent figure arms (default: GOMAXPROCS; 1 = serial)")
 	flag.StringVar(&opt.obsListen, "obs-listen", "", "serve /metrics, /debug/pprof and /debug/vars on this address during the run (\":0\" picks a port)")
@@ -106,6 +111,24 @@ func run(opt options, stdout, stderr io.Writer) error {
 		return err
 	}
 	o := experiments.Options{Quick: opt.quick, Seed: opt.seed, Faults: sched}
+	var fig1 []experiments.Fig01Row
+	var fig9 []experiments.Fig09Row
+	var fig11 []experiments.Fig11Row
+	all := figures(o, &fig1, &fig9, &fig11)
+	wanted := map[string]bool{}
+	for _, k := range strings.Split(opt.only, ",") {
+		if k = strings.TrimSpace(strings.ToLower(k)); k == "" {
+			continue
+		}
+		if k != "none" && !slices.ContainsFunc(all, func(f figure) bool { return f.key == k }) {
+			keys := make([]string, len(all))
+			for i, f := range all {
+				keys[i] = f.key
+			}
+			return fmt.Errorf("-only: unknown key %q (valid: %s, or none)", k, strings.Join(keys, ","))
+		}
+		wanted[k] = true
+	}
 
 	var m fleet.Metrics
 	t0 := time.Now() //detlint:allow walltime CLI wall-cost accounting for the manifest, never simulation input
@@ -135,17 +158,8 @@ func run(opt options, stdout, stderr io.Writer) error {
 		defer stop()
 	}
 
-	wanted := map[string]bool{}
-	for _, k := range strings.Split(opt.only, ",") {
-		if k = strings.TrimSpace(strings.ToLower(k)); k != "" {
-			wanted[k] = true
-		}
-	}
-	var fig1 []experiments.Fig01Row
-	var fig9 []experiments.Fig09Row
-	var fig11 []experiments.Fig11Row
 	var selected []figure
-	for _, f := range figures(o, &fig1, &fig9, &fig11) {
+	for _, f := range all {
 		if len(wanted) == 0 || wanted[f.key] {
 			selected = append(selected, f)
 		}
@@ -191,7 +205,7 @@ func run(opt options, stdout, stderr io.Writer) error {
 			err = rerr
 		}
 	}
-	if err == nil {
+	if err == nil && len(selected) > 0 {
 		if len(wanted) == 0 && fig1 != nil && fig9 != nil && fig11 != nil {
 			report.PaperComparison(out, fig1, fig9, fig11)
 		}

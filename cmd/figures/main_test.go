@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/midband5g/midband/internal/obs"
@@ -84,6 +85,35 @@ func TestRunSubsetSelection(t *testing.T) {
 	}
 	if out.Len() == 0 {
 		t.Fatal("fig11 subset produced no output")
+	}
+}
+
+// An unknown -only key is an error naming the valid keys, raised before
+// anything runs or any manifest is written; "none" is the explicit empty
+// selection: it prints nothing and succeeds.
+func TestRunRejectsUnknownOnlyKey(t *testing.T) {
+	for _, only := range []string{"bogus", "fig1", "fig11,fig99", " none , nonsense "} {
+		csvDir := filepath.Join(t.TempDir(), "csv")
+		var out bytes.Buffer
+		err := run(options{quick: true, seed: 2024, only: only, csvDir: csvDir, parallel: 1}, &out, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "unknown key") || !strings.Contains(err.Error(), "fig11") {
+			t.Fatalf("-only %q: err = %v, want an unknown-key error listing the valid keys", only, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-only %q: printed %q before failing", only, out.String())
+		}
+		if _, err := os.Stat(csvDir); !os.IsNotExist(err) {
+			t.Fatalf("-only %q: CSV directory created (stat err %v)", only, err)
+		}
+	}
+	for _, only := range []string{"none", "NONE", " none ,"} {
+		var out bytes.Buffer
+		if err := run(options{quick: true, seed: 2024, only: only, parallel: 2}, &out, io.Discard); err != nil {
+			t.Fatalf("-only %q: %v", only, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-only %q printed %q, want nothing", only, out.String())
+		}
 	}
 }
 

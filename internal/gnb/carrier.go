@@ -308,6 +308,7 @@ type Carrier struct {
 	amc     amcDerived
 	tbs     *phy.TBSCache
 	maxMCS  int // cfg.MCSTable.MaxIndex(), hoisted off the dither path
+	mcsPick *ollaMCS
 
 	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
 	// newTB indexes a flat array instead of calling Lookup (with its
@@ -365,6 +366,7 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 		amc:     newAMCDerived(csiCfg2, cfg),
 		tbs:     phy.NewTBSCache(cfg.MCSTable, cfg.DMRSPerPRB, 0),
 		maxMCS:  int(cfg.MCSTable.MaxIndex()),
+		mcsPick: ollaMCSFor(cfg.MCSTable, csiCfg2.Table),
 		rlf:     fault.NewRLFState(cfg.Fault),
 	}
 	for cqi := phy.CQI(1); cqi <= phy.MaxCQI; cqi++ {
@@ -618,14 +620,16 @@ func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report
 
 	// Vendor CQI→MCS mapping: match the reported spectral efficiency
 	// (hoisted into effByCQI at construction), shifted by the outer-loop
-	// offset. A zero entry means the CSI table's Lookup failed at
-	// construction (every valid row has positive efficiency), matching
-	// the inline lookup's error return.
+	// offset (mcsPick compares the offset with precomputed thresholds).
+	// A zero entry means the CSI table's Lookup failed at construction
+	// (every valid row has positive efficiency), matching the inline
+	// lookup's error return.
 	eff := c.effByCQI[cqi]
 	if eff == 0 {
 		return harqJob{}
 	}
 
+	var mcs uint8
 	if uplink {
 		// The gNB estimates UL quality from sounding reference signals:
 		// reconstruct the total-SINR estimate behind the DL report,
@@ -651,10 +655,10 @@ func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report
 				c.amc.rankPowAt(exp, rank)
 			eff = math.Log2(1+perLayerLin) * c.amc.ulBackoffLin
 		}
+		mcs = table.HighestMCSForEfficiency(eff)
 	} else {
-		eff *= phy.DBToLinear(c.ollaDB)
+		mcs = c.mcsPick.pick(cqi, c.ollaDB)
 	}
-	mcs := table.HighestMCSForEfficiency(eff)
 
 	// Per-slot link-adaptation dither (sub-band scheduling, per-slot
 	// re-evaluation): the DCI-signaled MCS and rank move at slot scale.

@@ -161,11 +161,13 @@ type Cell struct {
 	csiCfg   ue.CSIConfig
 	amc      amcDerived
 	tbs      *phy.TBSCache
+	mcsPick  *ollaMCS
 	dlSymTab []int // dlSymbols per TDD-period phase (length 1 for FDD)
 	// effByCQI is the CSI table's CQI→spectral-efficiency column, so the
 	// sense pass indexes a flat array instead of calling Lookup per UE
 	// per slot. Rows the table cannot look up (including CQI 0) are 0,
-	// the instSE the error path would leave.
+	// the instSE the error path would leave; a fresh TB is never sized
+	// from a zero row (the scheduler grants only CQI > 0).
 	effByCQI [phy.MaxCQI + 1]float64
 
 	// Per-slot scratch, reused so the steady-state loop allocates nothing.
@@ -276,6 +278,7 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	}
 	cell.amc = newAMCDerived(cell.csiCfg, cfg.Carrier)
 	cell.tbs = phy.NewTBSCache(cfg.Carrier.MCSTable, cfg.Carrier.DMRSPerPRB, 0)
+	cell.mcsPick = ollaMCSFor(cfg.Carrier.MCSTable, cell.csiCfg.Table)
 	ccfg := cfg.Carrier
 	if ccfg.FDD {
 		cell.dlSymTab = []int{phy.SymbolsPerSlot - ccfg.PDCCHSymbols}
@@ -530,12 +533,10 @@ func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
 	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
 	report := ue.Report{CQI: c.cqi[idx], RI: c.ri[idx]}
-	row, err := c.csiCfg.Table.Lookup(report.CQI)
-	if err != nil {
+	if report.CQI > phy.MaxCQI || c.effByCQI[report.CQI] == 0 {
 		return Alloc{}, false
 	}
-	eff := row.Efficiency * phy.DBToLinear(c.olla[idx])
-	mcs := cfg.MCSTable.HighestMCSForEfficiency(eff)
+	mcs := c.mcsPick.pick(report.CQI, c.olla[idx])
 	rbs := int(float64(cfg.NRB) * frac * (1 - cfg.RBJitterFrac*u.rng.Float64()))
 	if rbs < 1 {
 		rbs = 1

@@ -241,12 +241,10 @@ func (c *Cell) coupleLoad(slot int64, allocs []UEAlloc) {
 func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, rbs int) (harqJob, bool) {
 	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
-	row, err := c.csiCfg.Table.Lookup(report.CQI)
-	if err != nil {
+	if report.CQI > phy.MaxCQI || c.effByCQI[report.CQI] == 0 {
 		return harqJob{}, false
 	}
-	eff := row.Efficiency * phy.DBToLinear(c.olla[idx])
-	mcs := cfg.MCSTable.HighestMCSForEfficiency(eff)
+	mcs := c.mcsPick.pick(report.CQI, c.olla[idx])
 	tbs, err := c.tbs.TBS(symbols, rbs, mcs, report.RI)
 	if err != nil {
 		return harqJob{}, false

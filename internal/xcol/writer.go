@@ -42,6 +42,7 @@ type Writer struct {
 
 	nKPI  uint64
 	index []IndexEntry
+	head  [headerSize]byte // block header staging (a local would escape to the heap)
 }
 
 // NewWriter writes the file header and metadata block to w.
@@ -78,12 +79,12 @@ func (w *Writer) writeBlock(kind uint8, count uint32, first uint64, firstSlot in
 		return
 	}
 	crc := checksum(payload)
-	var head [headerSize]byte
+	head := w.head[:]
 	head[0] = kind
 	binary.LittleEndian.PutUint32(head[1:], count)
 	binary.LittleEndian.PutUint32(head[5:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(head[9:], crc)
-	if _, err := w.w.Write(head[:]); err != nil {
+	if _, err := w.w.Write(head); err != nil {
 		w.err = err
 		return
 	}
@@ -235,12 +236,12 @@ func (w *Writer) Close() error {
 	w.buf = idx
 	indexOff := w.off + headerSize // tail points at the index payload
 	crc := checksum(idx)
-	var head [headerSize]byte
+	head := w.head[:]
 	head[0] = kindIndex
 	binary.LittleEndian.PutUint32(head[1:], uint32(len(w.index)))
 	binary.LittleEndian.PutUint32(head[5:], uint32(len(idx)))
 	binary.LittleEndian.PutUint32(head[9:], crc)
-	if _, err := w.w.Write(head[:]); err != nil {
+	if _, err := w.w.Write(head); err != nil {
 		w.err = err
 		return w.err
 	}
