@@ -1,8 +1,9 @@
 // Command campaign runs a measurement campaign across the operator registry
-// and writes one trace per session, reproducing the data collection
-// methodology of §2. Traces default to the columnar .xcol container
+// and writes one trace per operator, reproducing the data collection
+// methodology of §2. Traces are written in the columnar .xcol container
 // (streamable with bounded memory; see docs/ARCHITECTURE.md "Trace
-// pipeline"); -trace-format xcal selects the row container. Sessions fan out over the fleet worker
+// pipeline"); `xcaldump -convert` turns one into a row .xcal when a
+// row-format consumer needs it. Sessions fan out over the fleet worker
 // pool; -parallel bounds the workers and the results are identical for
 // any value because every session seed derives from the job key alone.
 //
@@ -72,7 +73,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("campaign: ")
 	out := flag.String("out", "traces", "directory for traces and manifest.json")
-	traceFormat := flag.String("trace-format", "xcol", "trace container: xcol (columnar blocks, streaming scans) or xcal (row frames)")
 	duration := flag.Duration("duration", 10*time.Second, "bulk-transfer duration per session")
 	seed := flag.Int64("seed", 2024, "simulation seed")
 	ops := flag.String("ops", "", "comma-separated operator acronyms (default: all mid-band)")
@@ -87,9 +87,6 @@ func main() {
 	scenarioArg := flag.String("scenario", "", "run a declarative scenario: a shipped pack name or a spec file path (conflicts with the workload-shaping flags; see doc)")
 	quick := flag.Bool("quick", false, "shrink the spec (the -scenario or the flag-built campaign) to CI scale (sessions, durations, probes) before running")
 	flag.Parse()
-	if *traceFormat != "xcal" && *traceFormat != "xcol" {
-		log.Fatalf("unknown -trace-format %q (want xcal or xcol)", *traceFormat)
-	}
 	var spec *scenario.Spec
 	var err error
 	if *scenarioArg != "" {
@@ -150,7 +147,7 @@ func main() {
 		defer stop()
 	}
 
-	runScenario(spec, *quick, *out, *traceFormat, *seed, *parallel, &m, t0)
+	runScenario(spec, *quick, *out, *seed, *parallel, &m, t0)
 }
 
 // scenarioConflictFlags are the workload-shaping flags a -scenario spec
@@ -215,7 +212,7 @@ type scenarioManifestConfig struct {
 
 // runScenario runs a spec, writes the manifest (stamped with the
 // scenario name and digest) and prints the scenario report.
-func runScenario(spec *scenario.Spec, quick bool, out, traceFormat string, seed int64, parallel int, m *fleet.Metrics, t0 time.Time) {
+func runScenario(spec *scenario.Spec, quick bool, out string, seed int64, parallel int, m *fleet.Metrics, t0 time.Time) {
 	if quick {
 		spec = spec.QuickScale()
 	}
@@ -238,11 +235,10 @@ func runScenario(spec *scenario.Spec, quick bool, out, traceFormat string, seed 
 	}
 
 	res, err := scenario.Run(context.Background(), spec, scenario.Options{
-		Seed:        seed,
-		Workers:     parallel,
-		Metrics:     m,
-		TraceDir:    out,
-		TraceFormat: traceFormat,
+		Seed:     seed,
+		Workers:  parallel,
+		Metrics:  m,
+		TraceDir: out,
 		Progress: func(done, total int, key string) {
 			fmt.Fprintf(os.Stderr, "campaign: [%d/%d] %s (%.1fs)\n", done, total, key, time.Since(t0).Seconds()) //detlint:allow walltime stderr progress line, not part of campaign output
 		},

@@ -104,7 +104,7 @@ func TestRunScenarioWritesManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m fleet.Metrics
-	runScenario(spec, true, out, "xcol", 2024, 2, &m, time.Now())
+	runScenario(spec, true, out, 2024, 2, &m, time.Now())
 
 	data, err := os.ReadFile(filepath.Join(out, "manifest.json"))
 	if err != nil {
@@ -158,7 +158,6 @@ func legacyConfig(t *testing.T, f flagRun, dir string) core.CampaignConfig {
 		Operators:       selected,
 		SessionDuration: f.duration,
 		TraceDir:        dir,
-		TraceFormat:     "xcol",
 		Seed:            2024,
 		Workers:         1,
 		Faults:          sched,
@@ -219,7 +218,7 @@ func TestFlagSpecEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := scenario.Run(context.Background(), spec, scenario.Options{
-				Seed: 2024, Workers: 4, TraceDir: dir, TraceFormat: "xcol",
+				Seed: 2024, Workers: 4, TraceDir: dir,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -1,10 +1,14 @@
-// Command xcaldump inspects trace files in either container: the row
-// XCAL-style format (.xcal) or the columnar block format (.xcol). The
-// container is auto-detected from the magic bytes, never the file name.
-// It prints the session metadata, the channel configuration recovered
-// from the captured signaling (the Appendix 10.1 procedure), and
-// aggregate KPI statistics — streamed through one-pass mergeable
-// aggregates for columnar traces, so dumping never loads a whole trace.
+// Command xcaldump inspects trace files in either container: the
+// columnar block format (.xcol) that campaigns write, or the row
+// XCAL-style format (.xcal). The container is auto-detected from the
+// magic bytes, never the file name. It prints the session metadata, the
+// channel configuration recovered from the captured signaling (the
+// Appendix 10.1 procedure, run on the trace's signaling blocks), and
+// aggregate KPI statistics streamed block by block through one-pass
+// mergeable aggregates: a dump holds the PCell MCS and rank series that
+// V(128ms) needs, never the whole trace. A row trace is first converted
+// to a temporary columnar file and dumped through the same path.
+// Corrupt KPI blocks are skipped and reported.
 //
 // Usage:
 //
@@ -13,11 +17,11 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"os"
 
 	"github.com/midband5g/midband/internal/analysis"
 	"github.com/midband5g/midband/internal/config"
@@ -48,41 +52,55 @@ func main() {
 		log.Fatal("usage: xcaldump [-records N] [-blocks] trace...")
 	}
 	for _, path := range flag.Args() {
-		format, err := xcol.DetectFormat(path)
-		if err != nil {
-			log.Fatalf("%s: %v", path, err)
-		}
-		if format == "xcol" {
-			err = dumpCol(path, *showRecords, *showBlocks)
-		} else {
-			err = dumpRow(path, *showRecords)
-		}
-		if err != nil {
+		if err := dump(os.Stdout, path, *showRecords, *showBlocks); err != nil {
 			log.Fatalf("%s: %v", path, err)
 		}
 	}
+}
+
+// dump prints one trace. A row trace is converted to a temporary
+// columnar file, so both containers share one read path; the block
+// index of that temporary file is not shown.
+func dump(out io.Writer, path string, showRecords int, showBlocks bool) error {
+	format, err := xcol.DetectFormat(path)
+	if err != nil {
+		return err
+	}
+	if format == "xcol" {
+		return dumpCol(out, path, path, showRecords, showBlocks)
+	}
+	tmp, err := os.CreateTemp("", "xcaldump-*.xcol")
+	if err != nil {
+		return err
+	}
+	tmp.Close()
+	defer os.Remove(tmp.Name())
+	if _, _, err := xcol.ConvertFile(path, tmp.Name()); err != nil {
+		return err
+	}
+	return dumpCol(out, path, tmp.Name(), showRecords, false)
 }
 
 // printExtraction renders the recovered channel configuration.
-func printExtraction(path string, ex *config.Extraction) {
+func printExtraction(out io.Writer, path string, ex *config.Extraction) {
 	meta := ex.Meta
-	fmt.Printf("%s\n  operator=%s country=%s city=%s scenario=%s slot=%v\n",
+	fmt.Fprintf(out, "%s\n  operator=%s country=%s city=%s scenario=%s slot=%v\n",
 		path, meta.Operator, meta.Country, meta.City, meta.Scenario, meta.SlotDuration)
 	for _, c := range ex.Carriers {
-		fmt.Printf("  cell %d: %s %d MHz (N_RB %d, %d kHz, %s",
+		fmt.Fprintf(out, "  cell %d: %s %d MHz (N_RB %d, %d kHz, %s",
 			c.CellID, c.Band, c.BandwidthMHz, c.NRB, c.SCSkHz, c.Duplex)
 		if c.TDDPattern != "" {
-			fmt.Printf(" %s", c.TDDPattern)
+			fmt.Fprintf(out, " %s", c.TDDPattern)
 		}
-		fmt.Printf(") layers=%d table=%d dci1_1=%.0f%%", c.MaxMIMOLayers, c.MCSTable, 100*c.DCI11Share)
+		fmt.Fprintf(out, ") layers=%d table=%d dci1_1=%.0f%%", c.MaxMIMOLayers, c.MCSTable, 100*c.DCI11Share)
 		if c.Note != "" {
-			fmt.Printf("  [!] %s", c.Note)
+			fmt.Fprintf(out, "  [!] %s", c.Note)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 }
 
-// kpiStats is the streaming KPI reduction both dump paths share.
+// kpiStats is the streaming KPI reduction of a dump.
 type kpiStats struct {
 	dlBits, ulBits float64
 	records        int
@@ -124,112 +142,56 @@ func (st *kpiStats) add(k *xcal.SlotKPI) {
 	}
 }
 
-func (st *kpiStats) print() {
+func (st *kpiStats) print(out io.Writer) {
 	if span := st.maxT - st.minT; span > 0 {
-		fmt.Printf("  records=%d span=%.1fs DL=%.1f Mbps UL=%.1f Mbps\n",
+		fmt.Fprintf(out, "  records=%d span=%.1fs DL=%.1f Mbps UL=%.1f Mbps\n",
 			st.records, span, st.dlBits/span/1e6, st.ulBits/span/1e6)
 	}
 	if st.sinr.N > 0 {
-		fmt.Printf("  PCell: SINR %s\n         RSRQ %s\n",
+		fmt.Fprintf(out, "  PCell: SINR %s\n         RSRQ %s\n",
 			report.StreamSummary(st.sinr, st.sinrS), report.StreamSummary(st.rsrq, st.rsrqS))
 	}
 	if len(st.mcs) > 1 {
 		vm, _ := analysis.Variability(st.mcs, 256)
 		vr, _ := analysis.Variability(st.rank, 256)
-		fmt.Printf("  V(128ms): MCS %.3f  MIMO %.3f\n", vm, vr)
+		fmt.Fprintf(out, "  V(128ms): MCS %.3f  MIMO %.3f\n", vm, vr)
 	}
 }
 
-func (st *kpiStats) printRecord(k *xcal.SlotKPI, i int) {
-	fmt.Printf("  #%d slot=%d %s/%s cqi=%d mcs=%d(t%d) rank=%d rbs=%d tbs=%d ack=%v sinr=%.1f\n",
+func printRecord(out io.Writer, k *xcal.SlotKPI, i int) {
+	fmt.Fprintf(out, "  #%d slot=%d %s/%s cqi=%d mcs=%d(t%d) rank=%d rbs=%d tbs=%d ack=%v sinr=%.1f\n",
 		i, k.Slot, k.RAT, k.Dir, k.CQI, k.MCS, k.MCSTable, k.Rank, k.RBs, k.TBSBits, k.ACK, k.SINRdB)
 }
 
-func dumpRow(path string, showRecords int) error {
-	// Pass 1: configuration extraction from signaling.
-	r, f, err := xcal.OpenFile(path)
-	if err != nil {
-		return err
-	}
-	ex, err := config.Extract(r)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	printExtraction(path, ex)
-
-	// Pass 2: KPI statistics.
-	r, f, err = xcal.OpenFile(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st := newKPIStats()
-	printed := 0
-	for {
-		ft, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if ft != xcal.FrameKPI {
-			continue
-		}
-		if printed < showRecords {
-			printed++
-			st.printRecord(&r.KPI, printed)
-		}
-		st.add(&r.KPI)
-	}
-	st.print()
-	return nil
-}
-
-func dumpCol(path string, showRecords int, showBlocks bool) error {
+// dumpCol prints the columnar trace at path under the name name: the
+// configuration recovered from its signaling blocks, optionally the
+// block index, then KPI statistics streamed block by block. Corrupt KPI
+// blocks are skipped and listed at the end.
+func dumpCol(out io.Writer, name, path string, showRecords int, showBlocks bool) error {
 	s, f, err := xcol.OpenFile(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-
-	// Configuration extraction reuses the row-format procedure over the
-	// re-interleaved stream: convert in memory (signaling traces are
-	// small — aux frames plus blocks stream through bounded buffers).
-	var rowBuf bytes.Buffer
-	fi, err := f.Stat()
+	ex, err := config.Extract(s)
 	if err != nil {
 		return err
 	}
-	if _, err := xcol.ConvertColToRow(f, fi.Size(), &rowBuf); err != nil {
-		return err
-	}
-	rr, err := xcal.NewReader(bytes.NewReader(rowBuf.Bytes()))
-	if err != nil {
-		return err
-	}
-	ex, err := config.Extract(rr)
-	if err != nil {
-		return err
-	}
-	printExtraction(path, ex)
-	rowBuf = bytes.Buffer{}
+	printExtraction(out, name, ex)
 
 	if showBlocks {
 		if s.Sequential() {
-			fmt.Printf("  index: unusable (%v) — sequential fallback\n", s.IndexErr())
+			fmt.Fprintf(out, "  index: unusable (%v) — sequential fallback\n", s.IndexErr())
 		} else {
-			fmt.Printf("  index: %d blocks\n", len(s.Index()))
+			fmt.Fprintf(out, "  index: %d blocks\n", len(s.Index()))
 			for i, e := range s.Index() {
 				kind := map[uint8]string{1: "meta", 2: "kpi", 3: "aux"}[e.Kind]
-				fmt.Printf("  block %3d %-4s off=%-8d len=%-7d count=%-5d first=%-7d firstSlot=%d\n",
+				fmt.Fprintf(out, "  block %3d %-4s off=%-8d len=%-7d count=%-5d first=%-7d firstSlot=%d\n",
 					i, kind, e.Offset, e.Len, e.Count, e.First, e.FirstSlot)
 			}
 		}
 	}
 
-	// KPI statistics stream block by block through the scanner.
 	st := newKPIStats()
 	printed := 0
 	var k xcal.SlotKPI
@@ -245,14 +207,14 @@ func dumpCol(path string, showRecords int, showBlocks bool) error {
 			blk.Row(i, &k)
 			if printed < showRecords {
 				printed++
-				st.printRecord(&k, printed)
+				printRecord(out, &k, printed)
 			}
 			st.add(&k)
 		}
 	}
-	st.print()
+	st.print(out)
 	for _, be := range s.Corrupt() {
-		fmt.Printf("  [!] skipped block %d at offset %d: %v\n", be.Index, be.Offset, be.Err)
+		fmt.Fprintf(out, "  [!] skipped block %d at offset %d: %v\n", be.Index, be.Offset, be.Err)
 	}
 	return nil
 }

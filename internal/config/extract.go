@@ -1,18 +1,18 @@
 // Package config implements the Appendix 10.1 extraction procedure: it
 // recovers each carrier's channel configuration (Tables 2 and 3 of the
-// paper) from the control-plane signaling captured in an xcal trace — MIB,
-// SIB1 and DCI frames — rather than from any hard-coded table. Channel
+// paper) from the control-plane signaling captured in a columnar xcol trace —
+// MIB, SIB1 and DCI frames — rather than from any hard-coded table. Channel
 // bandwidth is recovered from carrierBandwidth (in RBs) via the TS 38.101-1
 // lookup, and the in-use MCS table from the observed DCI format mix.
 package config
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/midband5g/midband/internal/bands"
 	"github.com/midband5g/midband/internal/phy"
 	"github.com/midband5g/midband/internal/xcal"
+	"github.com/midband5g/midband/internal/xcol"
 )
 
 // ChannelConfig is one recovered carrier configuration — a row of Table 2
@@ -58,43 +58,59 @@ type Extraction struct {
 	Carriers []ChannelConfig
 }
 
-// Extract scans a trace and recovers the channel configuration of every
-// carrier whose SIB1 appears in it.
-func Extract(r *xcal.Reader) (*Extraction, error) {
-	ex := &Extraction{Meta: r.Meta()}
+// Extract replays a columnar trace's signaling frames and recovers the
+// channel configuration of every carrier whose SIB1 appears in it. KPI
+// blocks are never decoded. A corrupt signaling block is an error, so a
+// recovered table is never silently partial.
+func Extract(s *xcol.Scanner) (*Extraction, error) {
+	ex := &Extraction{Meta: s.Meta()}
 	dciTotal := map[uint32]int{} // keyed by cell-order index
 	dci11 := map[uint32]int{}
 	var order []uint32
 	byCell := map[uint32]*ChannelConfig{}
 
-	for {
-		ft, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("config: reading trace: %w", err)
-		}
-		switch ft {
+	var (
+		mib xcal.MIB
+		sib xcal.SIB1
+		dci xcal.DCI
+	)
+	skipped := len(s.Corrupt())
+	err := s.AuxFrames(func(t xcal.FrameType, _ uint64, payload []byte) error {
+		switch t {
 		case xcal.FrameMIB:
+			if err := xcal.DecodeMIB(payload, &mib); err != nil {
+				return fmt.Errorf("config: reading trace: %w", err)
+			}
 			ex.MIBs++
 		case xcal.FrameSIB1:
-			sib := r.SIB1 // copy
+			if err := xcal.DecodeSIB1(payload, &sib); err != nil {
+				return fmt.Errorf("config: reading trace: %w", err)
+			}
 			cc, err := fromSIB1(&sib)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if _, ok := byCell[sib.CellID]; !ok {
 				order = append(order, sib.CellID)
 			}
 			byCell[sib.CellID] = &cc
 		case xcal.FrameDCI:
-			key := uint32(r.DCI.Carrier)
+			if err := xcal.DecodeDCI(payload, &dci); err != nil {
+				return fmt.Errorf("config: reading trace: %w", err)
+			}
+			key := uint32(dci.Carrier)
 			dciTotal[key]++
-			if r.DCI.Format == xcal.DCI11 {
+			if dci.Format == xcal.DCI11 {
 				dci11[key]++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if c := s.Corrupt(); len(c) > skipped {
+		return nil, fmt.Errorf("config: reading trace: %w", c[skipped])
 	}
 
 	for i, id := range order {

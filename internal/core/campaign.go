@@ -43,11 +43,12 @@ type CampaignConfig struct {
 	SessionsPerOperator int
 	// LatencyProbes per operator.
 	LatencyProbes int
-	// TraceDir, when non-empty, receives one trace file per session.
+	// TraceDir, when non-empty, receives one columnar .xcol trace file
+	// per operator (its primary session).
 	TraceDir string
-	// TraceFormat selects the trace container: "xcal" (row frames, the
-	// default) or "xcol" (columnar blocks, the streaming-scan format).
-	// The extension of the written files follows the format.
+	// TraceFormat must be "" or "xcol"; any other value is an error.
+	//
+	// Deprecated: .xcol is the only container a campaign writes.
 	TraceFormat string
 	// Seed drives all sessions. Each (operator, session) job derives
 	// its own seed from the base seed and the job indices — never from
@@ -129,7 +130,7 @@ type sessionOutcome struct {
 	clean, retx time.Duration
 }
 
-// traceWrap adapts a fault session into the xcal.CreateFileVia sink
+// traceWrap adapts a fault session into the xcol.CreateFileVia sink
 // hook; nil sessions (or sessions without trace faults armed) wrap
 // nothing.
 func traceWrap(fs *fault.Session) func(io.Writer) io.Writer {
@@ -139,29 +140,6 @@ func traceWrap(fs *fault.Session) func(io.Writer) io.Writer {
 	return func(w io.Writer) io.Writer { return fs.TraceWriter(w) }
 }
 
-// openTrace creates the session's capture file in the requested
-// container format, returning the format-agnostic writer. The interface
-// is only ever bound to a non-nil concrete writer, so the nil checks in
-// Session.RunIperf stay meaningful.
-func openTrace(format, path string, meta xcal.Meta, fs *fault.Session) (xcal.TraceWriter, *os.File, error) {
-	switch format {
-	case "", "xcal":
-		return xcal.CreateFileVia(path, meta, traceWrap(fs))
-	case "xcol":
-		return xcol.CreateFileVia(path, meta, traceWrap(fs))
-	default:
-		return nil, nil, fmt.Errorf("core: unknown trace format %q", format)
-	}
-}
-
-// traceExt returns the file extension for a trace format.
-func traceExt(format string) string {
-	if format == "xcol" {
-		return "xcol"
-	}
-	return "xcal"
-}
-
 // runSession executes one operator session — build the link, optionally
 // open a trace, run the bulk transfer — and guarantees the trace file is
 // closed on every path. On error the partial trace is removed so a
@@ -169,7 +147,7 @@ func traceExt(format string) string {
 // fault session threads injectors into the link, may shorten the
 // transfer to an abort point, and may wrap the trace sink with
 // write-error injection.
-func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, format, tracePath string, m *fleet.Metrics, fs *fault.Session) (*Session, *iperf.Result, error) {
+func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, tracePath string, m *fleet.Metrics, fs *fault.Session) (*Session, *iperf.Result, error) {
 	sess, err := NewSessionWithFaults(op, sc, fs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", op.Acronym, err)
@@ -181,10 +159,12 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, f
 		// abandon the measurement below.
 		d = time.Duration(float64(d) * fs.AbortFraction)
 	}
+	// w stays a nil interface without a trace path, so the nil check in
+	// Session.runIperf stays meaningful.
 	var w xcal.TraceWriter
 	var f *os.File
 	if tracePath != "" {
-		w, f, err = openTrace(format, tracePath, sess.Meta(), fs)
+		w, f, err = xcol.CreateFileVia(tracePath, sess.Meta(), traceWrap(fs))
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: creating trace: %w", err)
 		}
@@ -198,8 +178,7 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, f
 	}
 	if f != nil {
 		if err == nil {
-			// Close, not Flush: the columnar container finalizes its
-			// block index and tail here.
+			// Close, not Flush: it writes the block index and tail.
 			err = w.Close()
 		}
 		if cerr := f.Close(); err == nil {
@@ -251,6 +230,9 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 	if cfg.SessionsPerOperator == 0 {
 		cfg.SessionsPerOperator = 3
 	}
+	if cfg.TraceFormat != "" && cfg.TraceFormat != "xcol" {
+		return nil, fmt.Errorf("core: unsupported trace format %q (campaigns write only xcol)", cfg.TraceFormat)
+	}
 	spo := cfg.SessionsPerOperator
 
 	// One job per (operator, session index). The simulation seed is
@@ -270,13 +252,13 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignStats
 					path := ""
 					if k == 0 && cfg.TraceDir != "" {
 						sc := operators.Stationary(seed)
-						path = filepath.Join(cfg.TraceDir, fmt.Sprintf("%s-%s.%s", op.Acronym, sc.Name, traceExt(cfg.TraceFormat)))
+						path = filepath.Join(cfg.TraceDir, fmt.Sprintf("%s-%s.xcol", op.Acronym, sc.Name))
 					}
 					var t0 time.Time
 					if obs.Enabled() {
 						t0 = time.Now() //detlint:allow walltime per-session wall-cost metric behind the obs gate
 					}
-					sess, res, err := runSession(op, operators.Stationary(seed), cfg.SessionDuration, cfg.TraceFormat, path, cfg.Metrics, fs)
+					sess, res, err := runSession(op, operators.Stationary(seed), cfg.SessionDuration, path, cfg.Metrics, fs)
 					if err != nil {
 						return sessionOutcome{}, err
 					}

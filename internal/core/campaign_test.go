@@ -26,8 +26,8 @@ func campaignOps(t *testing.T, acrs ...string) []operators.Operator {
 }
 
 // Regression for the trace-file leak: when the bulk transfer fails after
-// xcal.CreateFile succeeded, the file must be closed and the partial
-// .xcal removed — no half-written captures and no leaked descriptors.
+// the trace file was created, the file must be closed and the partial
+// .xcol removed — no half-written captures and no leaked descriptors.
 func TestRunCampaignClosesTraceOnError(t *testing.T) {
 	dir := t.TempDir()
 	before := openFDs(t)

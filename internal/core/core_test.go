@@ -10,6 +10,7 @@ import (
 	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/video"
 	"github.com/midband5g/midband/internal/xcal"
+	"github.com/midband5g/midband/internal/xcol"
 )
 
 func session(t *testing.T, acr string, seed int64) *Session {
@@ -128,24 +129,28 @@ func TestRunCampaignWritesTraces(t *testing.T) {
 	}
 	// Each written trace is a readable capture with signaling + KPIs.
 	for _, sess := range stats.Sessions {
-		r, f, err := xcal.OpenFile(sess.TracePath)
+		s, f, err := xcol.OpenFile(sess.TracePath)
 		if err != nil {
 			t.Fatalf("opening %s: %v", sess.TracePath, err)
 		}
 		var kpi, sib int
 		for {
-			ft, err := r.Next()
+			blk, err := s.Next()
 			if err != nil {
 				break
 			}
-			switch ft {
-			case xcal.FrameKPI:
-				kpi++
-			case xcal.FrameSIB1:
+			kpi += blk.Count
+		}
+		err = s.AuxFrames(func(ft xcal.FrameType, _ uint64, _ []byte) error {
+			if ft == xcal.FrameSIB1 {
 				sib++
 			}
-		}
+			return nil
+		})
 		f.Close()
+		if err != nil || len(s.Corrupt()) != 0 {
+			t.Errorf("%s: err=%v corrupt=%v", filepath.Base(sess.TracePath), err, s.Corrupt())
+		}
 		if kpi == 0 || sib == 0 {
 			t.Errorf("%s: kpi=%d sib=%d", filepath.Base(sess.TracePath), kpi, sib)
 		}

@@ -135,9 +135,9 @@ func (s *Session) WarmUp() error {
 // RunIperf runs a bulk-transfer measurement after warm-up. When w is
 // non-nil, the session writes the full capture: signaling first, then
 // per-slot KPI records, plus periodic DCI frames for config extraction.
-// The session is container-agnostic: w may be a row xcal.Writer or a
-// columnar xcol.Writer. Pass a nil interface (not a typed nil) to skip
-// capture.
+// Runs capture into a columnar xcol.Writer; the session itself only
+// sees the interface, so tests can capture the same slots into the row
+// xcal.Writer. Pass a nil interface (not a typed nil) to skip capture.
 func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWriter) (*iperf.Result, error) {
 	return s.runIperf(iperf.Config{Duration: d, Demand: demand}, w)
 }

@@ -2,18 +2,17 @@ package experiments
 
 import (
 	"bytes"
-
 	"fmt"
-	"github.com/midband5g/midband/internal/analysis"
 	"time"
 
+	"github.com/midband5g/midband/internal/analysis"
 	"github.com/midband5g/midband/internal/config"
 	"github.com/midband5g/midband/internal/core"
 	"github.com/midband5g/midband/internal/net5g"
 	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/phy"
 	"github.com/midband5g/midband/internal/tdd"
-	"github.com/midband5g/midband/internal/xcal"
+	"github.com/midband5g/midband/internal/xcol"
 )
 
 // Table1 reproduces the dataset statistics table by running a (scaled-down)
@@ -47,21 +46,21 @@ func Tables23(o Options) ([]ConfigRow, error) {
 			return nil, err
 		}
 		var buf bytes.Buffer
-		w, err := xcal.NewWriter(&buf, sess.Meta())
+		w, err := xcol.NewWriter(&buf, sess.Meta())
 		if err != nil {
 			return nil, err
 		}
 		if _, err := sess.RunIperf(o.sessionSeconds(1.5), net5g.Saturate, w); err != nil {
 			return nil, err
 		}
-		if err := w.Flush(); err != nil {
+		if err := w.Close(); err != nil {
 			return nil, err
 		}
-		r, err := xcal.NewReader(bytes.NewReader(buf.Bytes()))
+		s, err := xcol.NewScanner(xcol.BytesReaderAt(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
 			return nil, err
 		}
-		ex, err := config.Extract(r)
+		ex, err := config.Extract(s)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", op.Acronym, err)
 		}

@@ -19,9 +19,9 @@ type Config struct {
 	// Demand is the offered load (defaults to saturating both
 	// directions for a lone UE).
 	Demand net5g.Demand
-	// Trace, when non-nil, receives every slot KPI record. Any
-	// container works — the row xcal.Writer and the columnar
-	// xcol.Writer both implement the interface.
+	// Trace, when non-nil, receives every slot KPI record. Runs write
+	// the columnar xcol.Writer; tests also pass the row xcal.Writer as
+	// an oracle.
 	Trace xcal.TraceWriter
 	// KeepRecords retains all KPI records in the result (memory-heavy
 	// for long runs; the per-series arrays are usually enough).

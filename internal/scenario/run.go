@@ -27,10 +27,10 @@ type Options struct {
 	Metrics *fleet.Metrics
 	// Progress, when non-nil, is called after each job completes.
 	Progress func(done, total int, key string)
-	// TraceDir/TraceFormat pass through to the bulk campaign (traces
-	// are a bulk-app concern; app drivers produce KPI reports only).
-	TraceDir    string
-	TraceFormat string
+	// TraceDir passes through to the bulk campaign, which writes .xcol
+	// traces there (traces are a bulk-app concern; the other apps
+	// produce KPI reports only).
+	TraceDir string
 }
 
 func (o Options) withDefaults() Options {
@@ -160,7 +160,6 @@ func (s *Spec) CampaignConfig(opts Options) (core.CampaignConfig, error) {
 		SessionDuration:     s.Duration(),
 		SessionsPerOperator: s.Sessions.Count,
 		TraceDir:            opts.TraceDir,
-		TraceFormat:         opts.TraceFormat,
 		Seed:                opts.Seed,
 		Workers:             opts.Workers,
 		Faults:              sched,

@@ -1,7 +1,10 @@
 // Package xcal implements the slot-level KPI trace format that stands in for
 // the professional chipset logger (Accuver XCAL) used in the paper's
 // campaign: fixed-size per-slot KPI records, control-plane signaling
-// captures (MIB, SIB1, DCI) and a framed trace file with metadata.
+// captures (MIB, SIB1, DCI) and a framed row trace container with
+// metadata. Runs write the columnar container of package xcol, which
+// stores these same records and signaling payloads; the row container
+// is what `xcaldump -convert` produces and what tests use as an oracle.
 //
 // The decoder follows the preallocated-decode idiom: Reader.Next decodes
 // into reusable storage owned by the Reader, so steady-state reading of

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 )
 
@@ -25,12 +24,11 @@ var traceMagic = [8]byte{'X', 'C', 'A', 'L', '5', 'G', 'M', 'B'}
 var TraceMagic = traceMagic
 
 // TraceWriter is the sink a capture session writes through — KPI
-// records plus control-plane signaling and event annotations. Both the
-// row Writer here and the columnar xcol.Writer implement it, so the
-// simulation core is format-agnostic: campaigns pick the container,
-// sessions just write. Close finalizes the stream (for containers with
-// a footer this is what makes the file complete); Flush only pushes
-// buffered bytes.
+// records plus control-plane signaling and event annotations. Runs
+// write the columnar xcol.Writer; the row Writer here implements it
+// too, so tests can capture the same session into either container.
+// Close finalizes the stream (for containers with a footer this is
+// what makes the file complete); Flush only pushes buffered bytes.
 type TraceWriter interface {
 	WriteKPI(k *SlotKPI) error
 	WriteMIB(m *MIB) error
@@ -183,6 +181,7 @@ type Reader struct {
 	r    *bufio.Reader
 	meta Meta
 	buf  []byte
+	head [5]byte // frame header scratch; a local would escape through io.ReadFull
 
 	// Decoded frame storage, reused across Next calls.
 	KPI   SlotKPI
@@ -224,14 +223,13 @@ func (r *Reader) Meta() Meta { return r.meta }
 const maxFrameSize = 1 << 20
 
 func (r *Reader) nextFrame() (FrameType, []byte, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r.r, head[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.head[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("xcal: reading frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(head[1:])
+	n := binary.LittleEndian.Uint32(r.head[1:])
 	if n > maxFrameSize {
 		return 0, nil, fmt.Errorf("xcal: frame of %d bytes exceeds limit", n)
 	}
@@ -242,7 +240,7 @@ func (r *Reader) nextFrame() (FrameType, []byte, error) {
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
 		return 0, nil, fmt.Errorf("xcal: reading frame payload: %w", err)
 	}
-	return FrameType(head[0]), r.buf, nil
+	return FrameType(r.head[0]), r.buf, nil
 }
 
 // Next reads the next frame, decodes it into the Reader's reusable fields
@@ -270,48 +268,4 @@ func (r *Reader) Next() (FrameType, error) {
 	default:
 		return t, fmt.Errorf("xcal: unknown frame type %d", t)
 	}
-}
-
-// CreateFile creates a trace file on disk.
-func CreateFile(path string, meta Meta) (*Writer, *os.File, error) {
-	return CreateFileVia(path, meta, nil)
-}
-
-// CreateFileVia is CreateFile with the on-disk sink wrapped by wrap
-// before the trace writer buffers on top of it — the hook fault
-// injection uses to make trace-sink I/O errors reachable in tests and
-// campaigns. A nil wrap writes straight to the file. Errors injected by
-// the wrapper surface through the Writer's usual sticky-error path, so
-// callers need no special handling beyond what real I/O failures
-// already require.
-func CreateFileVia(path string, meta Meta, wrap func(io.Writer) io.Writer) (*Writer, *os.File, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var sink io.Writer = f
-	if wrap != nil {
-		sink = wrap(f)
-	}
-	w, err := NewWriter(sink, meta)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, nil, err
-	}
-	return w, f, nil
-}
-
-// OpenFile opens a trace file for reading.
-func OpenFile(path string) (*Reader, *os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return r, f, nil
 }

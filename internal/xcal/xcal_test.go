@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -247,8 +248,14 @@ func TestTraceBadInputs(t *testing.T) {
 }
 
 func TestTraceFiles(t *testing.T) {
+	// A row trace on disk, as xcaldump -convert writes one, reads back
+	// through the file.
 	path := filepath.Join(t.TempDir(), "session.xcal")
-	w, f, err := CreateFile(path, testMeta())
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWriter(f, testMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,18 +263,22 @@ func TestTraceFiles(t *testing.T) {
 	if err := w.WriteKPI(&k); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, rf, err := OpenFile(path)
+	rf, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rf.Close()
+	r, err := NewReader(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ft, err := r.Next()
 	if err != nil || ft != FrameKPI || r.KPI != k {
 		t.Fatalf("file round trip: type=%v err=%v", ft, err)

@@ -262,15 +262,11 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// CreateFile creates a columnar trace file on disk.
-func CreateFile(path string, meta xcal.Meta) (*Writer, *os.File, error) {
-	return CreateFileVia(path, meta, nil)
-}
-
-// CreateFileVia is CreateFile with the on-disk sink wrapped by wrap
-// before the trace writer buffers on top of it — the same fault
-// injection hook xcal.CreateFileVia exposes, so campaigns exercise
-// trace I/O errors identically in either format.
+// CreateFileVia creates a columnar trace file on disk, with the file
+// sink wrapped by wrap before the writer buffers on top of it — the
+// hook fault injection uses to make trace-sink I/O errors reachable in
+// tests and campaigns. A nil wrap writes straight to the file. Errors
+// the wrapper injects surface through the Writer's sticky-error path.
 func CreateFileVia(path string, meta xcal.Meta, wrap func(io.Writer) io.Writer) (*Writer, *os.File, error) {
 	f, err := os.Create(path)
 	if err != nil {

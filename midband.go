@@ -147,7 +147,8 @@ func NewDynamicABR() ABR { return video.NewDynamic() }
 
 // RunCampaign measures every mid-band operator once and aggregates the
 // dataset statistics (Table 1). TraceDir, when non-empty, receives one
-// XCAL-style trace per session.
+// columnar .xcol trace per operator (readable with cmd/xcaldump, which
+// also converts it to the row .xcal container).
 func RunCampaign(sessionDuration time.Duration, traceDir string, seed int64) (*CampaignStats, error) {
 	return core.RunCampaign(core.CampaignConfig{
 		SessionDuration: sessionDuration,
