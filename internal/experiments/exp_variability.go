@@ -29,8 +29,8 @@ var fig12Carriers = []string{"O_Sp100", "O_Sp90", "V_Sp", "V_It"}
 // Fig12 reproduces the multi-scale variability figure. Like Fig01 it
 // keeps long sessions even under Quick: the curve's 2 s scale needs many
 // blocks per session, and short windows are congestion-episode lottery.
-// The per-slot series come from a columnar trace scan (measureViaScan),
-// proving the figure is reproducible from captured traces alone.
+// A captured trace reproduces the per-slot series bit for bit
+// (TestScanSeriesMatchesDirect).
 func Fig12(o Options) ([]Fig12Series, error) {
 	maxK := 12 // 2^12 × 0.5 ms ≈ 2 s
 	d := 20 * time.Second
@@ -39,7 +39,7 @@ func Fig12(o Options) ([]Fig12Series, error) {
 	}
 	var out []Fig12Series
 	for i, acr := range fig12Carriers {
-		res, err := measureViaScan(acr, d, net5g.Demand{DL: true}, o.seed()+int64(i)*43)
+		res, err := measure(acr, d, net5g.Demand{DL: true}, o.seed()+int64(i)*43)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func Fig13(o Options) (*Fig13Result, error) {
 	if o.Quick {
 		dur = 20
 	}
-	res, err := measureViaScan("V_Sp", time.Duration(dur*float64(time.Second)), net5g.Demand{DL: true}, o.seed()+47)
+	res, err := measure("V_Sp", time.Duration(dur*float64(time.Second)), net5g.Demand{DL: true}, o.seed()+47)
 	if err != nil {
 		return nil, err
 	}

@@ -222,66 +222,6 @@ type Demand struct {
 // FullBuffer is a lone saturating UE.
 var FullBuffer = Demand{Active: true, Share: 1}
 
-type harqJob struct {
-	readySlot int64
-	retx      uint8
-	rank      int
-	table     phy.MCSTable
-	mcs       uint8
-	rbs       int
-	res       int
-	tbs       int
-}
-
-// amcDerived holds per-carrier constants of the AMC slot path: the
-// layer-split penalties, the UL power/backoff factors and the CQI
-// optimism deflation are fixed per session, yet the scheduler used to
-// recompute them (pow/log each) for every transport block. They are
-// computed once at construction from the exact same expressions, so the
-// precomputed path is bit-identical.
-type amcDerived struct {
-	// layerPenaltyDB[r] = 10·LayerPenaltyExp·log10(r) for rank r.
-	layerPenaltyDB [5]float64
-	// rankPow[r] = r^LayerPenaltyExp.
-	rankPow [5]float64
-	// optimismLin = 10^(CQIOptimismDB/10).
-	optimismLin float64
-	// ulDerateLin = 10^(−ULSINROffsetDB/10).
-	ulDerateLin float64
-	// ulBackoffLin = 10^(−ulBackoffDB/10).
-	ulBackoffLin float64
-}
-
-func newAMCDerived(csiCfg ue.CSIConfig, cfg CarrierConfig) amcDerived {
-	var a amcDerived
-	exp := csiCfg.LayerPenaltyExp
-	for r := 1; r < len(a.layerPenaltyDB); r++ {
-		a.layerPenaltyDB[r] = 10 * exp * math.Log10(float64(r))
-		a.rankPow[r] = math.Pow(float64(r), exp)
-	}
-	a.optimismLin = phy.DBToLinear(csiCfg.CQIOptimismDB)
-	a.ulDerateLin = phy.DBToLinear(-cfg.ULSINROffsetDB)
-	a.ulBackoffLin = phy.DBToLinear(-ulBackoffDB)
-	return a
-}
-
-// layerPenalty returns 10·exp·log10(rank), from the precomputed table for
-// the ranks the CSI loop can report.
-func (a *amcDerived) layerPenalty(exp float64, rank int) float64 {
-	if rank >= 1 && rank < len(a.layerPenaltyDB) {
-		return a.layerPenaltyDB[rank]
-	}
-	return 10 * exp * math.Log10(float64(rank))
-}
-
-// rankPowAt returns rank^exp, precomputed for the reportable ranks.
-func (a *amcDerived) rankPowAt(exp float64, rank int) float64 {
-	if rank >= 1 && rank < len(a.rankPow) {
-		return a.rankPow[rank]
-	}
-	return math.Pow(float64(rank), exp)
-}
-
 // Carrier is the per-carrier simulator. Not safe for concurrent use.
 type Carrier struct {
 	cfg  CarrierConfig
@@ -302,31 +242,16 @@ type Carrier struct {
 	rlfUntil int64 // data interrupted until this slot (RRC re-establishment)
 	rlfCount int64
 
-	// Slot-path constants (see amcDerived).
 	slotDur time.Duration
-	csiCfg  ue.CSIConfig // csi.Config(), cached to avoid per-TB copies
-	amc     amcDerived
-	tbs     *phy.TBSCache
-	maxMCS  int // cfg.MCSTable.MaxIndex(), hoisted off the dither path
-	mcsPick *ollaMCS
-
-	// effByCQI hoists the CSI table's CQI→spectral-efficiency column so
-	// newTB indexes a flat array instead of calling Lookup (with its
-	// error path) once per transport block. Row 0 is 0 ("out of range").
-	effByCQI [phy.MaxCQI + 1]float64
-
-	// dlSymTab/ulSymTab precompute dlSymbols/ulSymbols over one TDD
-	// period (length 1 for FDD) so the per-slot query is a table index
-	// instead of a pattern walk. Values are exactly what the inline
-	// pattern logic produced.
-	dlSymTab []int
+	tb      tbPath // the transport-block chain and its per-carrier tables
+	// ulSymTab is ulSymbols per TDD-period phase (length 1 for FDD).
 	ulSymTab []int
 
 	// ulEff[cqi][dlRank] precomputes the UL link-adaptation chain (SRS
 	// reconstruction, power derate, layer re-split, backoff) for every
 	// reportable CQI and DL rank; ulRank[dlRank] is the matching UL rank
-	// clamp. The chain is a pure function of (CQI, RI) and the per-session
-	// amc factors, evaluated at construction with the same expressions, so
+	// clamp. The chain is a pure function of (CQI, RI) and the per-carrier
+	// factors in tb, evaluated at construction with the same expressions, so
 	// the table lookup is bit-identical to the inline pow/log sequence.
 	ulEff  [phy.MaxCQI + 1][5]float64
 	ulRank [5]int
@@ -354,7 +279,6 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gnb: carrier %q: %w", cfg.Label, err)
 	}
-	csiCfg2 := csi.Config()
 	c := &Carrier{
 		cfg:     cfg,
 		ch:      ch,
@@ -362,34 +286,17 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 		rng:     rand.New(rand.NewSource(fleet.SplitSeed(cfg.Seed, "gnb/sched", 0))),
 		serving: -1,
 		slotDur: cfg.Numerology.SlotDuration(),
-		csiCfg:  csiCfg2,
-		amc:     newAMCDerived(csiCfg2, cfg),
-		tbs:     phy.NewTBSCache(cfg.MCSTable, cfg.DMRSPerPRB, 0),
-		maxMCS:  int(cfg.MCSTable.MaxIndex()),
-		mcsPick: ollaMCSFor(cfg.MCSTable, csiCfg2.Table),
 		rlf:     fault.NewRLFState(cfg.Fault),
 	}
-	for cqi := phy.CQI(1); cqi <= phy.MaxCQI; cqi++ {
-		if row, err := csiCfg2.Table.Lookup(cqi); err == nil {
-			c.effByCQI[cqi] = row.Efficiency
-		}
-	}
-	// Precompute the per-slot symbol budgets over one TDD period (FDD
+	c.tb = newTBPath(&c.cfg, csi.Config())
+	// Precompute the per-slot UL symbol budget over one TDD period (FDD
 	// carriers are phase-invariant) so the slot path never touches the
 	// pattern parser.
 	if cfg.FDD {
-		c.dlSymTab = []int{phy.SymbolsPerSlot - cfg.PDCCHSymbols}
 		c.ulSymTab = []int{phy.SymbolsPerSlot}
 	} else {
-		period := cfg.Pattern.Period()
-		c.dlSymTab = make([]int, period)
-		c.ulSymTab = make([]int, period)
-		for i := 0; i < period; i++ {
-			if d := cfg.Pattern.DLSymbols(int64(i)); d > 0 {
-				if s := d - cfg.PDCCHSymbols; s >= 1 {
-					c.dlSymTab[i] = s
-				}
-			}
+		c.ulSymTab = make([]int, cfg.Pattern.Period())
+		for i := range c.ulSymTab {
 			if cfg.Pattern.Slot(int64(i)) == tdd.Uplink {
 				c.ulSymTab[i] = phy.SymbolsPerSlot
 			}
@@ -398,21 +305,17 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 	// Precompute the UL link-adaptation chain for the reportable CQI and
 	// rank grid (see the field comment; newTB falls back to the inline
 	// expressions outside this grid).
-	exp := csiCfg2.LayerPenaltyExp
 	for cqi := phy.CQI(1); cqi <= phy.MaxCQI; cqi++ {
-		row, err := csiCfg2.Table.Lookup(cqi)
-		if err != nil {
-			continue
+		eff := c.tb.effByCQI[cqi]
+		if eff == 0 {
+			continue // the CSI table cannot look the row up
 		}
 		for dlRank := 1; dlRank < len(c.ulRank); dlRank++ {
 			rank := dlRank
 			if rank > cfg.ULMaxRank {
 				rank = cfg.ULMaxRank
 			}
-			totalLin := (math.Pow(2, row.Efficiency) - 1) / c.amc.optimismLin * c.amc.rankPowAt(exp, dlRank)
-			perLayerLin := totalLin * c.amc.ulDerateLin /
-				c.amc.rankPowAt(exp, rank)
-			c.ulEff[cqi][dlRank] = math.Log2(1+perLayerLin) * c.amc.ulBackoffLin
+			c.ulEff[cqi][dlRank] = c.ulEfficiency(eff, dlRank, rank)
 			c.ulRank[dlRank] = rank
 		}
 	}
@@ -434,27 +337,12 @@ func (c *Carrier) RLFs() int64 { return c.rlfCount }
 // SlotDuration returns the slot length.
 func (c *Carrier) SlotDuration() time.Duration { return c.cfg.Numerology.SlotDuration() }
 
-// dlSymbols returns the DL data symbols available in the slot, from the
-// per-period table built at construction (slots are never negative).
-func (c *Carrier) dlSymbols(slot int64) int {
-	return c.dlSymTab[slot%int64(len(c.dlSymTab))]
-}
-
 // ulSymbols returns the UL data symbols available in the slot. Special-slot
 // UL symbols are too few for PUSCH data and are reserved for control, so
 // only full UL slots count (matching commercial mid-band behaviour).
 func (c *Carrier) ulSymbols(slot int64) int {
 	return c.ulSymTab[slot%int64(len(c.ulSymTab))]
 }
-
-// bler returns the block error probability for a TB whose MCS requires
-// reqSINRdB when decoded at effective per-layer SINR sinrDB.
-func bler(sinrDB, reqSINRdB float64) float64 {
-	const slopeDB = 0.7
-	return 1 / (1 + math.Exp((sinrDB-reqSINRdB)/slopeDB))
-}
-
-const harqCombineGainDB = 2.5
 
 // ulBackoffDB is the fixed UL link-adaptation backoff (see newTB).
 const ulBackoffDB = 1.0
@@ -518,7 +406,7 @@ func (c *Carrier) StepInto(res *SlotResult, dl, ul Demand) {
 		return
 	}
 
-	if sym := c.dlSymbols(slot); sym > 0 && dl.Active && dl.Share > 0 {
+	if sym := c.tb.dlSymbols(slot); sym > 0 && dl.Active && dl.Share > 0 {
 		res.DL = c.transmit(&c.dlAlloc, &c.harqDL, slot, sym, dl.Share, report, res.Sample.SINRdB, res.Sample.Outage, false)
 	}
 	if sym := c.ulSymbols(slot); sym > 0 && ul.Active && ul.Share > 0 {
@@ -535,98 +423,42 @@ func (c *Carrier) transmit(store *Alloc, queue *[]harqJob, slot int64, symbols i
 	if outage {
 		return nil // nothing schedulable without a link
 	}
-
-	var job harqJob
-	if j, ok := popReady(queue, slot); ok {
-		job = j
-	} else {
-		job = c.newTB(slot, symbols, share, report, uplink)
-		if job.tbs == 0 {
+	job, ok := popReady(queue, slot)
+	if !ok {
+		if job, ok = c.newTB(slot, symbols, share, report, uplink); !ok {
 			return nil
 		}
 	}
-
-	// Decode at the *current* per-layer SINR (the report that chose the
-	// MCS is stale — that gap is what OLLA and HARQ absorb).
-	sinr := sinrDB
+	olla := &c.ollaDB
 	if uplink {
-		sinr -= c.cfg.ULSINROffsetDB
+		sinrDB -= c.cfg.ULSINROffsetDB
+		olla = nil // UL link adaptation has a fixed backoff instead
 	}
-	perLayer := sinr - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, job.rank)
-	perLayer += harqCombineGainDB * float64(job.retx)
-	req, err := job.table.RequiredSINRdB(job.mcs)
-	if err != nil {
-		return nil
-	}
-	ack := blerAck(c.rng.Float64(), perLayer, req)
-
-	if !uplink && !c.cfg.DisableOLLA {
-		// Outer loop: nudge toward the BLER target.
-		if ack {
-			c.ollaDB += 0.05 * c.cfg.TargetBLER / (1 - c.cfg.TargetBLER)
-		} else {
-			c.ollaDB -= 0.05
-		}
-		c.ollaDB = math.Max(-6, math.Min(3, c.ollaDB))
-	}
-
+	ack := c.tb.decode(c.rng.Float64(), &job, sinrDB, olla)
 	delivered := 0
 	if ack {
 		delivered = job.tbs
-	} else if !c.cfg.DisableHARQ && int(job.retx) < c.cfg.MaxHARQRetx {
-		*queue = append(*queue, harqJob{
-			readySlot: slot + int64(c.cfg.HARQRTTSlots),
-			retx:      job.retx + 1,
-			rank:      job.rank,
-			table:     job.table,
-			mcs:       job.mcs,
-			rbs:       job.rbs,
-			res:       job.res,
-			tbs:       job.tbs,
-		})
+	} else if r, ok := c.tb.retry(&job, slot); ok {
+		*queue = append(*queue, r)
 	}
-
-	*store = Alloc{
-		RBs: job.rbs, REs: job.res, Table: job.table, MCS: job.mcs,
-		Rank: job.rank, TBSBits: job.tbs, HARQRetx: job.retx, ACK: ack,
-		DeliveredBits: delivered,
-	}
-	// Observability only — recorded after every scheduling decision is
-	// final, never read back, so metrics cannot perturb the simulation.
-	if obs.Enabled() {
-		obs.Sim.MCS.Observe(float64(job.mcs))
-		obs.Sim.Rank.Observe(float64(job.rank))
-		obs.Sim.HARQRetx.Observe(float64(job.retx))
-		if ack {
-			obs.Sim.TBAcks.Inc()
-		} else {
-			obs.Sim.TBNacks.Inc()
-		}
-	}
+	c.tb.alloc(store, &job, ack, delivered)
 	return store
 }
 
-// newTB builds a fresh transport block from the CSI in effect.
+// newTB builds a fresh transport block from the CSI in effect. It
+// reports false when nothing can be sent, a TB of zero bits included.
 //
 //detlint:zeroalloc
-func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report, uplink bool) harqJob {
+func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report, uplink bool) (harqJob, bool) {
 	rank := report.RI
 	cqi := report.CQI
-	table := c.cfg.MCSTable
-
-	if cqi == 0 || rank < 1 || cqi > phy.MaxCQI {
-		return harqJob{}
-	}
-
-	// Vendor CQI→MCS mapping: match the reported spectral efficiency
-	// (hoisted into effByCQI at construction), shifted by the outer-loop
-	// offset (mcsPick compares the offset with precomputed thresholds).
-	// A zero entry means the CSI table's Lookup failed at construction
-	// (every valid row has positive efficiency), matching the inline
-	// lookup's error return.
-	eff := c.effByCQI[cqi]
-	if eff == 0 {
-		return harqJob{}
+	// Vendor CQI→MCS mapping: match the reported spectral efficiency,
+	// shifted by the outer-loop offset (mcsPick compares the offset with
+	// precomputed thresholds). A zero efficiency means CQI 0 or a row the
+	// CSI table cannot look up.
+	eff := c.tb.cqiEff(cqi)
+	if rank < 1 || eff == 0 {
+		return harqJob{}, false
 	}
 
 	var mcs uint8
@@ -637,75 +469,46 @@ func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report
 		// The DL outer-loop offset does not apply; UL link adaptation
 		// carries its own fixed backoff instead. The whole chain is a pure
 		// function of (CQI, RI), so the construction-time ulEff table
-		// covers the reportable grid; the inline expressions remain for
-		// anything outside it.
+		// covers the reportable grid; ulEfficiency remains for anything
+		// outside it.
 		share *= c.cfg.ULRBFraction
-		if cqi <= phy.MaxCQI && rank < len(c.ulRank) {
+		if rank < len(c.ulRank) {
 			eff = c.ulEff[cqi][rank]
 			rank = c.ulRank[rank]
 		} else {
-			exp := c.csiCfg.LayerPenaltyExp
 			dlRank := rank
-			if rank > c.cfg.ULMaxRank {
-				rank = c.cfg.ULMaxRank
-			}
-			// Deflate the report's optimism (the gNB calibrates for it).
-			totalLin := (math.Pow(2, eff) - 1) / c.amc.optimismLin * c.amc.rankPowAt(exp, dlRank)
-			perLayerLin := totalLin * c.amc.ulDerateLin /
-				c.amc.rankPowAt(exp, rank)
-			eff = math.Log2(1+perLayerLin) * c.amc.ulBackoffLin
+			rank = min(rank, c.cfg.ULMaxRank)
+			eff = c.ulEfficiency(eff, dlRank, rank)
 		}
-		mcs = table.HighestMCSForEfficiency(eff)
+		mcs = c.cfg.MCSTable.HighestMCSForEfficiency(eff)
 	} else {
-		mcs = c.mcsPick.pick(cqi, c.ollaDB)
+		mcs = c.tb.mcsPick.pick(cqi, c.ollaDB)
 	}
 
 	// Per-slot link-adaptation dither (sub-band scheduling, per-slot
 	// re-evaluation): the DCI-signaled MCS and rank move at slot scale.
 	if d := c.cfg.MCSDither; d > 0 {
 		m := int(mcs) + c.rng.Intn(2*d+1) - d
-		if m < 0 {
-			m = 0
-		}
-		if m > c.maxMCS {
-			m = c.maxMCS
-		}
-		mcs = uint8(m)
+		mcs = uint8(max(0, min(c.tb.maxMCS, m)))
 	}
 	if c.cfg.RankDitherProb > 0 && rank > 1 && c.rng.Float64() < c.cfg.RankDitherProb {
 		rank--
 	}
 
 	// Near-maximum RB allocation with scheduler jitter (Fig. 4).
-	rbs := int(float64(c.cfg.NRB) * share * (1 - c.cfg.RBJitterFrac*c.rng.Float64()))
-	if rbs < 1 {
-		rbs = 1
-	}
-	tbs, err := c.tbs.TBS(symbols, rbs, mcs, rank)
-	if err != nil {
-		return harqJob{}
-	}
-	// REs for the trace record: same DMRS clamp the cache applies
-	// internally (MCS does not enter the RE count).
-	dmrs := c.cfg.DMRSPerPRB
-	if maxDMRS := phy.SubcarriersPerRB * symbols; dmrs > maxDMRS {
-		dmrs = maxDMRS
-	}
-	params := phy.TBSParams{
-		Symbols:    symbols,
-		DMRSPerPRB: dmrs,
-		PRBs:       rbs,
-		Layers:     rank,
-	}
-	return harqJob{
-		readySlot: slot,
-		rank:      rank,
-		table:     table,
-		mcs:       mcs,
-		rbs:       rbs,
-		res:       params.REs(),
-		tbs:       tbs,
-	}
+	job, ok := c.tb.size(slot, symbols, c.tb.jitterRBs(share, c.rng.Float64()), mcs, rank)
+	return job, ok && job.tbs > 0
+}
+
+// ulEfficiency is the UL spectral efficiency behind a DL report of
+// efficiency eff at rank dlRank, re-split across rank UL layers.
+//
+//detlint:zeroalloc
+func (c *Carrier) ulEfficiency(eff float64, dlRank, rank int) float64 {
+	// Deflate the report's optimism (the gNB calibrates for it).
+	totalLin := (math.Pow(2, eff) - 1) / c.tb.optimismLin * c.tb.rankPowAt(dlRank)
+	perLayerLin := totalLin * c.tb.ulDerateLin / c.tb.rankPowAt(rank)
+	return math.Log2(1+perLayerLin) * c.tb.ulBackoffLin
 }
 
 //detlint:zeroalloc
@@ -728,7 +531,7 @@ func (c *Carrier) TheoreticalMaxMbps(applyDuty bool) float64 {
 	if applyDuty && !c.cfg.FDD {
 		duty = c.cfg.Pattern.DLDutyCycle()
 	}
-	maxRank := c.csiCfg.MaxRank
+	maxRank := c.tb.csi.MaxRank
 	if maxRank == 0 {
 		maxRank = 4
 	}

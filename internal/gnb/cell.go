@@ -156,19 +156,8 @@ type Cell struct {
 	instSE []float64
 	ready  []bool
 
-	// Slot-path constants, shared by all UEs (they differ only in seeds).
-	slotDur  time.Duration
-	csiCfg   ue.CSIConfig
-	amc      amcDerived
-	tbs      *phy.TBSCache
-	mcsPick  *ollaMCS
-	dlSymTab []int // dlSymbols per TDD-period phase (length 1 for FDD)
-	// effByCQI is the CSI table's CQI→spectral-efficiency column, so the
-	// sense pass indexes a flat array instead of calling Lookup per UE
-	// per slot. Rows the table cannot look up (including CQI 0) are 0,
-	// the instSE the error path would leave; a fresh TB is never sized
-	// from a zero row (the scheduler grants only CQI > 0).
-	effByCQI [phy.MaxCQI + 1]float64
+	slotDur time.Duration
+	tb      tbPath // the transport-block chain, shared by all UEs (they differ only in seeds)
 
 	// Per-slot scratch, reused so the steady-state loop allocates nothing.
 	// order is the scheduler's working set: the UE indices eligible this
@@ -270,28 +259,7 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 	cell.ri = make([]int, n)
 	cell.instSE = make([]float64, n)
 	cell.ready = make([]bool, n)
-	cell.csiCfg = cell.ues[0].csi.Config() // UEs differ only in seed
-	for q := range cell.effByCQI {
-		if row, err := cell.csiCfg.Table.Lookup(phy.CQI(q)); err == nil {
-			cell.effByCQI[q] = row.Efficiency
-		}
-	}
-	cell.amc = newAMCDerived(cell.csiCfg, cfg.Carrier)
-	cell.tbs = phy.NewTBSCache(cfg.Carrier.MCSTable, cfg.Carrier.DMRSPerPRB, 0)
-	cell.mcsPick = ollaMCSFor(cfg.Carrier.MCSTable, cell.csiCfg.Table)
-	ccfg := cfg.Carrier
-	if ccfg.FDD {
-		cell.dlSymTab = []int{phy.SymbolsPerSlot - ccfg.PDCCHSymbols}
-	} else {
-		cell.dlSymTab = make([]int, ccfg.Pattern.Period())
-		for i := range cell.dlSymTab {
-			if d := ccfg.Pattern.DLSymbols(int64(i)); d > 0 {
-				if s := d - ccfg.PDCCHSymbols; s >= 1 {
-					cell.dlSymTab[i] = s
-				}
-			}
-		}
-	}
+	cell.tb = newTBPath(&cell.cfg.Carrier, cell.ues[0].csi.Config()) // UEs differ only in seed
 	cell.order = make([]int, 0, n)
 	cell.rb = make([]int, 0, n)
 	cell.grants = make([]grant, 0, n)
@@ -327,7 +295,7 @@ func (c *Cell) Step() CellSlot {
 	res := CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
 	c.sense(slot)
 
-	dlSym := c.dlSymbols(slot)
+	dlSym := c.tb.dlSymbols(slot)
 	if dlSym == 0 {
 		return res
 	}
@@ -335,7 +303,7 @@ func (c *Cell) Step() CellSlot {
 	var allocs []UEAlloc
 	if contention {
 		allocs = c.scheduleContention(slot, dlSym)
-	} else if allocs = c.scheduleShare(dlSym); allocs == nil {
+	} else if allocs = c.scheduleShare(slot, dlSym); allocs == nil {
 		return res // nobody ready: the share model leaves the PF window as is
 	}
 	c.allocs = allocs
@@ -367,8 +335,8 @@ func (c *Cell) sense(slot int64) {
 		c.instSE[i] = 0
 		ready := ok && rep.CQI > 0 && !c.outage[i] && u.buf.Backlogged()
 		c.ready[i] = ready
-		if ready && rep.CQI <= phy.MaxCQI {
-			c.instSE[i] = c.effByCQI[rep.CQI] * float64(rep.RI)
+		if ready {
+			c.instSE[i] = c.tb.cqiEff(rep.CQI) * float64(rep.RI)
 		}
 	}
 }
@@ -379,7 +347,7 @@ func (c *Cell) sense(slot int64) {
 // slice backed by c.allocs.
 //
 //detlint:zeroalloc
-func (c *Cell) scheduleShare(dlSym int) []UEAlloc {
+func (c *Cell) scheduleShare(slot int64, dlSym int) []UEAlloc {
 	order := c.order[:0]
 	for i, r := range c.ready {
 		if r {
@@ -434,7 +402,7 @@ func (c *Cell) scheduleShare(dlSym int) []UEAlloc {
 
 	allocs := c.allocs[:0]
 	for _, g := range grants {
-		alloc, ok := c.transmitUE(g.idx, dlSym, g.frac)
+		alloc, ok := c.transmitUE(slot, g.idx, dlSym, g.frac)
 		if !ok {
 			continue
 		}
@@ -519,61 +487,31 @@ func (c *Cell) updatePFWindow(allocs []UEAlloc) {
 	}
 }
 
-func (c *Cell) dlSymbols(slot int64) int {
-	return c.dlSymTab[slot%int64(len(c.dlSymTab))]
-}
-
 // transmitUE schedules one TB for a UE with the given RB fraction at
-// this slot's sensed CQI, rank and SINR, mirroring Carrier.transmit's
-// AMC/OLLA/BLER behaviour (without HARQ — the share model's Fig. 14
-// questions need none; the contention model has it).
+// this slot's sensed CQI, rank and SINR, through the chain Carrier.transmit
+// runs (without HARQ — the share model's Fig. 14 questions need none; the
+// contention model has it).
 //
 //detlint:zeroalloc
-func (c *Cell) transmitUE(idx, symbols int, frac float64) (Alloc, bool) {
-	cfg := &c.cfg.Carrier
+func (c *Cell) transmitUE(slot int64, idx, symbols int, frac float64) (Alloc, bool) {
 	u := c.ues[idx]
-	report := ue.Report{CQI: c.cqi[idx], RI: c.ri[idx]}
-	if report.CQI > phy.MaxCQI || c.effByCQI[report.CQI] == 0 {
+	cqi, rank := c.cqi[idx], c.ri[idx]
+	if c.tb.cqiEff(cqi) == 0 {
 		return Alloc{}, false
 	}
-	mcs := c.mcsPick.pick(report.CQI, c.olla[idx])
-	rbs := int(float64(cfg.NRB) * frac * (1 - cfg.RBJitterFrac*u.rng.Float64()))
-	if rbs < 1 {
-		rbs = 1
-	}
-	tbs, err := c.tbs.TBS(symbols, rbs, mcs, report.RI)
-	if err != nil {
+	mcs := c.tb.mcsPick.pick(cqi, c.olla[idx])
+	job, ok := c.tb.size(slot, symbols, c.tb.jitterRBs(frac, u.rng.Float64()), mcs, rank)
+	if !ok {
 		return Alloc{}, false
 	}
-	// REs for the record: same DMRS clamp the cache applies internally.
-	dmrs := cfg.DMRSPerPRB
-	if m := phy.SubcarriersPerRB * symbols; dmrs > m {
-		dmrs = m
-	}
-	params := phy.TBSParams{
-		Symbols: symbols, DMRSPerPRB: dmrs, PRBs: rbs,
-		Layers: report.RI,
-	}
-	req, err := cfg.MCSTable.RequiredSINRdB(mcs)
-	if err != nil {
-		return Alloc{}, false
-	}
-	perLayer := c.sinr[idx] - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, report.RI)
-	ack := blerAck(u.rng.Float64(), perLayer, req)
-	if ack {
-		c.olla[idx] += 0.05 * cfg.TargetBLER / (1 - cfg.TargetBLER)
-	} else {
-		c.olla[idx] -= 0.05
-	}
-	c.olla[idx] = max(-6, min(3, c.olla[idx]))
+	ack := c.tb.decode(u.rng.Float64(), &job, c.sinr[idx], &c.olla[idx])
 	delivered := 0
 	if ack {
-		delivered = tbs
+		delivered = job.tbs
 	}
-	return Alloc{
-		RBs: rbs, REs: params.REs(), Table: cfg.MCSTable, MCS: mcs,
-		Rank: report.RI, TBSBits: tbs, ACK: ack, DeliveredBits: delivered,
-	}, true
+	var a Alloc
+	c.tb.alloc(&a, &job, ack, delivered)
+	return a, true
 }
 
 // Config returns the cell's effective configuration, with carrier and

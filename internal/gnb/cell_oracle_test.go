@@ -60,7 +60,7 @@ func (c *contentionOracle) stepContention() CellSlot {
 		st := ueState{idx: i, sample: s, report: rep,
 			ready: ok && rep.CQI > 0 && !s.Outage && u.buf.Backlogged()}
 		if st.ready {
-			row, err := c.csiCfg.Table.Lookup(rep.CQI)
+			row, err := c.tb.csi.Table.Lookup(rep.CQI)
 			if err == nil {
 				st.instSE = row.Efficiency * float64(rep.RI)
 			}
@@ -69,7 +69,7 @@ func (c *contentionOracle) stepContention() CellSlot {
 	}
 	c.states = states
 
-	dlSym := c.dlSymbols(slot)
+	dlSym := c.tb.dlSymbols(slot)
 	if dlSym == 0 {
 		return res
 	}
@@ -98,11 +98,11 @@ func (c *contentionOracle) stepContention() CellSlot {
 		}
 		budget -= job.rbs
 		sched[i] = true
-		if a, ok := c.deliver(slot, i, job, states[i].sample.SINRdB); ok {
-			res.Allocs = append(res.Allocs, UEAlloc{
-				UE: i, Alloc: a, SINRdB: states[i].sample.SINRdB, CQI: states[i].report.CQI,
-			})
-		}
+		var a Alloc
+		c.deliver(&a, slot, i, job, states[i].sample.SINRdB)
+		res.Allocs = append(res.Allocs, UEAlloc{
+			UE: i, Alloc: a, SINRdB: states[i].sample.SINRdB, CQI: states[i].report.CQI,
+		})
 	}
 
 	// Fresh grants for the backlogged UEs that did not retransmit.
@@ -210,11 +210,11 @@ func (c *contentionOracle) stepContention() CellSlot {
 			if !ok {
 				continue
 			}
-			if a, ok := c.deliver(slot, st.idx, job, st.sample.SINRdB); ok {
-				res.Allocs = append(res.Allocs, UEAlloc{
-					UE: st.idx, Alloc: a, SINRdB: st.sample.SINRdB, CQI: st.report.CQI,
-				})
-			}
+			var a Alloc
+			c.deliver(&a, slot, st.idx, job, st.sample.SINRdB)
+			res.Allocs = append(res.Allocs, UEAlloc{
+				UE: st.idx, Alloc: a, SINRdB: st.sample.SINRdB, CQI: st.report.CQI,
+			})
 		}
 	}
 

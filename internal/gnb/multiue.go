@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"github.com/midband5g/midband/internal/obs"
-	"github.com/midband5g/midband/internal/phy"
 	"github.com/midband5g/midband/internal/ue"
 )
 
@@ -17,7 +15,8 @@ import (
 // statistical channel.Config.NeighborLoad). The legacy share model in
 // cell.go stays bit-identical — the checked-in figures depend on it — so
 // everything here is opt-in via CellConfig.Model. Both models share the
-// sense pass in Cell.Step.
+// sense pass in Cell.Step, and both size and decode every transport block
+// through the carrier's chain in tbpath.go.
 
 // CellModel selects the cell's scheduling fidelity.
 type CellModel uint8
@@ -108,9 +107,8 @@ func (c *Cell) scheduleContention(slot int64, dlSym int) []UEAlloc {
 		}
 		budget -= job.rbs
 		sched[i] = true
-		if a, ok := c.deliver(slot, i, job, c.sinr[i]); ok {
-			allocs = append(allocs, UEAlloc{UE: i, Alloc: a, SINRdB: c.sinr[i], CQI: c.cqi[i]})
-		}
+		allocs = append(allocs, UEAlloc{UE: i, SINRdB: c.sinr[i], CQI: c.cqi[i]})
+		c.deliver(&allocs[len(allocs)-1].Alloc, slot, i, job, c.sinr[i])
 	}
 
 	// Fresh grants for the backlogged UEs that did not retransmit: order
@@ -208,9 +206,8 @@ func (c *Cell) scheduleContention(slot int64, dlSym int) []UEAlloc {
 		if !ok {
 			continue
 		}
-		if a, ok := c.deliver(slot, idx, job, c.sinr[idx]); ok {
-			allocs = append(allocs, UEAlloc{UE: idx, Alloc: a, SINRdB: c.sinr[idx], CQI: c.cqi[idx]})
-		}
+		allocs = append(allocs, UEAlloc{UE: idx, SINRdB: c.sinr[idx], CQI: c.cqi[idx]})
+		c.deliver(&allocs[len(allocs)-1].Alloc, slot, idx, job, c.sinr[idx])
 	}
 	return allocs
 }
@@ -233,107 +230,51 @@ func (c *Cell) coupleLoad(slot int64, allocs []UEAlloc) {
 	}
 }
 
-// newContentionTB sizes a fresh transport block for an integer RB grant,
-// mirroring the share model's CQI→efficiency→OLLA→MCS chain (no RB
-// jitter: the scheduler's split already decides the exact footprint).
+// newContentionTB sizes a fresh transport block for an integer RB grant
+// through the share model's CQI→efficiency→OLLA→MCS chain (no RB jitter:
+// the scheduler's split already decides the exact footprint).
 //
 //detlint:zeroalloc
 func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, rbs int) (harqJob, bool) {
-	cfg := &c.cfg.Carrier
 	u := c.ues[idx]
-	if report.CQI > phy.MaxCQI || c.effByCQI[report.CQI] == 0 {
+	if c.tb.cqiEff(report.CQI) == 0 {
 		return harqJob{}, false
 	}
-	mcs := c.mcsPick.pick(report.CQI, c.olla[idx])
-	tbs, err := c.tbs.TBS(symbols, rbs, mcs, report.RI)
-	if err != nil {
+	mcs := c.tb.mcsPick.pick(report.CQI, c.olla[idx])
+	job, ok := c.tb.size(slot, symbols, rbs, mcs, report.RI)
+	if !ok {
 		return harqJob{}, false
 	}
 	// A finite-traffic UE does not need its whole policy share for the
 	// last TB of a burst: shrink the grant to the backlog (BSR-style),
 	// leaving the unused RBs idle this slot — which is exactly the
 	// load-dependent utilization the coupling below mirrors out.
-	if need := u.buf.BacklogBits(); !u.buf.Full() && need < float64(tbs) && rbs > 1 {
-		shrunk := int(math.Ceil(float64(rbs) * need / float64(tbs)))
-		if shrunk < 1 {
-			shrunk = 1
-		}
+	if need := u.buf.BacklogBits(); !u.buf.Full() && need < float64(job.tbs) && rbs > 1 {
+		shrunk := max(1, int(math.Ceil(float64(rbs)*need/float64(job.tbs))))
 		if shrunk < rbs {
-			if t2, err := c.tbs.TBS(symbols, shrunk, mcs, report.RI); err == nil {
-				rbs, tbs = shrunk, t2
+			if j, ok := c.tb.size(slot, symbols, shrunk, mcs, report.RI); ok {
+				job = j
 			}
 		}
 	}
-	dmrs := cfg.DMRSPerPRB
-	if m := phy.SubcarriersPerRB * symbols; dmrs > m {
-		dmrs = m
-	}
-	params := phy.TBSParams{
-		Symbols: symbols, DMRSPerPRB: dmrs, PRBs: rbs, Layers: report.RI,
-	}
-	return harqJob{
-		readySlot: slot,
-		rank:      report.RI,
-		table:     cfg.MCSTable,
-		mcs:       mcs,
-		rbs:       rbs,
-		res:       params.REs(),
-		tbs:       tbs,
-	}, true
+	return job, true
 }
 
 // deliver decodes one TB (fresh or retransmission) at the UE's current
-// channel state, updating its OLLA offset, HARQ queue and RLC buffer.
+// channel state, updating its OLLA offset, HARQ queue and RLC buffer, and
+// writes its Alloc to dst.
 //
 //detlint:zeroalloc
-func (c *Cell) deliver(slot int64, idx int, job harqJob, sinrDB float64) (Alloc, bool) {
-	cfg := &c.cfg.Carrier
+func (c *Cell) deliver(dst *Alloc, slot int64, idx int, job harqJob, sinrDB float64) {
 	u := c.ues[idx]
-	perLayer := sinrDB - c.amc.layerPenalty(c.csiCfg.LayerPenaltyExp, job.rank)
-	perLayer += harqCombineGainDB * float64(job.retx)
-	req, err := job.table.RequiredSINRdB(job.mcs)
-	if err != nil {
-		return Alloc{}, false
-	}
-	ack := blerAck(u.rng.Float64(), perLayer, req)
-	if !cfg.DisableOLLA {
-		if ack {
-			c.olla[idx] += 0.05 * cfg.TargetBLER / (1 - cfg.TargetBLER)
-		} else {
-			c.olla[idx] -= 0.05
-		}
-		c.olla[idx] = max(-6, min(3, c.olla[idx]))
-	}
+	ack := c.tb.decode(u.rng.Float64(), &job, sinrDB, &c.olla[idx])
 	delivered := 0
 	if ack {
 		delivered = u.buf.Drain(job.tbs)
-	} else if !cfg.DisableHARQ && int(job.retx) < cfg.MaxHARQRetx {
-		u.harq = append(u.harq, harqJob{
-			readySlot: slot + int64(cfg.HARQRTTSlots),
-			retx:      job.retx + 1,
-			rank:      job.rank,
-			table:     job.table,
-			mcs:       job.mcs,
-			rbs:       job.rbs,
-			res:       job.res,
-			tbs:       job.tbs,
-		})
+	} else if r, ok := c.tb.retry(&job, slot); ok {
+		u.harq = append(u.harq, r)
 	}
-	if obs.Enabled() {
-		obs.Sim.MCS.Observe(float64(job.mcs))
-		obs.Sim.Rank.Observe(float64(job.rank))
-		obs.Sim.HARQRetx.Observe(float64(job.retx))
-		if ack {
-			obs.Sim.TBAcks.Inc()
-		} else {
-			obs.Sim.TBNacks.Inc()
-		}
-	}
-	return Alloc{
-		RBs: job.rbs, REs: job.res, Table: job.table, MCS: job.mcs,
-		Rank: job.rank, TBSBits: job.tbs, HARQRetx: job.retx, ACK: ack,
-		DeliveredBits: delivered,
-	}, true
+	c.tb.alloc(dst, &job, ack, delivered)
 }
 
 // popReadyFit pops the first queued job that is both RTT-ready and fits

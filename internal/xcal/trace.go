@@ -92,6 +92,16 @@ type Writer struct {
 
 // NewWriter writes the trace header and metadata frame to w.
 func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
+	mb, err := json.Marshal(meta)
+	if err != nil {
+		return nil, fmt.Errorf("xcal: encoding meta: %w", err)
+	}
+	return NewWriterMetaJSON(w, mb)
+}
+
+// NewWriterMetaJSON is NewWriter with the metadata JSON supplied
+// verbatim, so a format conversion keeps it byte for byte.
+func NewWriterMetaJSON(w io.Writer, metaJSON []byte) (*Writer, error) {
 	tw := &Writer{w: bufio.NewWriterSize(w, 1<<16)}
 	if _, err := tw.w.Write(traceMagic[:]); err != nil {
 		return nil, err
@@ -101,55 +111,50 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	if _, err := tw.w.Write(v[:]); err != nil {
 		return nil, err
 	}
-	mb, err := json.Marshal(meta)
-	if err != nil {
-		return nil, fmt.Errorf("xcal: encoding meta: %w", err)
-	}
-	tw.frame(FrameMeta, mb)
-	return tw, tw.err
+	return tw, tw.WriteFrame(FrameMeta, metaJSON)
 }
 
-func (w *Writer) frame(t FrameType, payload []byte) {
+// WriteFrame appends one frame with the payload verbatim. The typed
+// writers below encode their record and call it; format conversion calls
+// it directly to keep signaling payloads byte for byte.
+func (w *Writer) WriteFrame(t FrameType, payload []byte) error {
 	if w.err != nil {
-		return
+		return w.err
 	}
 	w.head[0] = uint8(t)
 	binary.LittleEndian.PutUint32(w.head[1:], uint32(len(payload)))
 	if _, err := w.w.Write(w.head[:]); err != nil {
 		w.err = err
-		return
+		return err
 	}
 	if _, err := w.w.Write(payload); err != nil {
 		w.err = err
 	}
+	return w.err
 }
 
 // WriteKPI appends a slot KPI record.
 func (w *Writer) WriteKPI(k *SlotKPI) error {
 	w.buf = k.AppendTo(w.buf[:0])
-	w.frame(FrameKPI, w.buf)
-	return w.err
+	return w.WriteFrame(FrameKPI, w.buf)
 }
 
 // WriteMIB appends a MIB capture.
 func (w *Writer) WriteMIB(m *MIB) error {
 	w.buf = m.AppendTo(w.buf[:0])
-	w.frame(FrameMIB, w.buf)
-	return w.err
+	return w.WriteFrame(FrameMIB, w.buf)
 }
 
 // WriteSIB1 appends a SIB1 capture.
 func (w *Writer) WriteSIB1(s *SIB1) error {
 	w.buf = s.AppendTo(w.buf[:0])
-	w.frame(FrameSIB1, w.buf)
-	return w.err
+	return w.WriteFrame(FrameSIB1, w.buf)
 }
 
 // WriteDCI appends a DCI capture.
 func (w *Writer) WriteDCI(d *DCI) error {
 	w.buf = d.AppendTo(w.buf[:0])
-	w.frame(FrameDCI, w.buf)
-	return w.err
+	return w.WriteFrame(FrameDCI, w.buf)
 }
 
 // WriteEvent appends an application event annotation.
@@ -158,8 +163,7 @@ func (w *Writer) WriteEvent(e Event) error {
 	if err != nil {
 		return fmt.Errorf("xcal: encoding event: %w", err)
 	}
-	w.frame(FrameEvent, b)
-	return w.err
+	return w.WriteFrame(FrameEvent, b)
 }
 
 // Flush flushes buffered frames to the underlying writer.
@@ -178,10 +182,11 @@ func (w *Writer) Close() error { return w.Flush() }
 // by the Reader; the returned pointers are valid only until the following
 // Next call (NoCopy semantics — copy if you need to retain them).
 type Reader struct {
-	r    *bufio.Reader
-	meta Meta
-	buf  []byte
-	head [5]byte // frame header scratch; a local would escape through io.ReadFull
+	r        *bufio.Reader
+	meta     Meta
+	metaJSON []byte // the metadata frame's payload, verbatim
+	buf      []byte
+	head     [5]byte // frame header scratch; a local would escape through io.ReadFull
 
 	// Decoded frame storage, reused across Next calls.
 	KPI   SlotKPI
@@ -204,7 +209,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if v := binary.LittleEndian.Uint16(head[8:]); v != TraceVersion {
 		return nil, fmt.Errorf("xcal: unsupported trace version %d", v)
 	}
-	t, payload, err := tr.nextFrame()
+	t, payload, err := tr.NextFrame()
 	if err != nil {
 		return nil, fmt.Errorf("xcal: reading meta frame: %w", err)
 	}
@@ -214,15 +219,22 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err := json.Unmarshal(payload, &tr.meta); err != nil {
 		return nil, fmt.Errorf("xcal: decoding meta: %w", err)
 	}
+	tr.metaJSON = append([]byte(nil), payload...)
 	return tr, nil
 }
 
 // Meta returns the trace metadata.
 func (r *Reader) Meta() Meta { return r.meta }
 
+// MetaJSON returns the metadata frame's payload verbatim.
+func (r *Reader) MetaJSON() []byte { return r.metaJSON }
+
 const maxFrameSize = 1 << 20
 
-func (r *Reader) nextFrame() (FrameType, []byte, error) {
+// NextFrame reads the next frame without decoding it. The payload is
+// owned by the Reader and valid until the following NextFrame or Next
+// call. It returns io.EOF at end of trace.
+func (r *Reader) NextFrame() (FrameType, []byte, error) {
 	if _, err := io.ReadFull(r.r, r.head[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
@@ -247,7 +259,7 @@ func (r *Reader) nextFrame() (FrameType, []byte, error) {
 // (KPI, MIB, SIB1, DCI, Event according to the returned type) and returns
 // its type. It returns io.EOF at end of trace.
 func (r *Reader) Next() (FrameType, error) {
-	t, payload, err := r.nextFrame()
+	t, payload, err := r.NextFrame()
 	if err != nil {
 		return 0, err
 	}

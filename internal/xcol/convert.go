@@ -1,12 +1,10 @@
 package xcol
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -18,73 +16,39 @@ import (
 // signaling frame payload verbatim, and re-encode KPI records through
 // the strict canonical codec — so converting a well-formed trace there
 // and back reproduces it byte for byte (enforced by TestConvertRoundTrip
-// and the xcaldump convert tests).
-
-const rowMaxFrame = 1 << 20 // mirrors xcal's frame size limit
+// and the xcaldump convert tests). The row side reads and writes through
+// xcal's Reader and Writer, the only row framing.
 
 // ConvertRowToCol reads a row trace from r and writes it as a columnar
 // trace to w, returning the number of KPI records converted.
 func ConvertRowToCol(r io.Reader, w io.Writer) (uint64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var head [10]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return 0, fmt.Errorf("xcol: reading row trace header: %w", err)
+	rr, err := xcal.NewReader(r)
+	if err != nil {
+		return 0, err
 	}
-	if [8]byte(head[:8]) != xcal.TraceMagic {
-		return 0, errors.New("xcol: source is not a row trace")
+	cw, err := NewWriterMetaJSON(w, rr.MetaJSON())
+	if err != nil {
+		return 0, err
 	}
-	if v := binary.LittleEndian.Uint16(head[8:]); v != xcal.TraceVersion {
-		return 0, fmt.Errorf("xcol: unsupported row trace version %d", v)
-	}
-	var (
-		cw  *Writer
-		buf []byte
-		kpi xcal.SlotKPI
-	)
+	var kpi xcal.SlotKPI
 	for {
-		var fh [5]byte
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return 0, fmt.Errorf("xcol: reading row frame header: %w", err)
+		t, payload, err := rr.NextFrame()
+		if err == io.EOF {
+			break
 		}
-		t := xcal.FrameType(fh[0])
-		n := binary.LittleEndian.Uint32(fh[1:])
-		if n > rowMaxFrame {
-			return 0, fmt.Errorf("xcol: row frame of %d bytes exceeds limit", n)
-		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return 0, fmt.Errorf("xcol: reading row frame payload: %w", err)
-		}
-		if cw == nil {
-			if t != xcal.FrameMeta {
-				return 0, fmt.Errorf("xcol: first row frame is %d, want meta", t)
-			}
-			if !json.Valid(buf) {
-				return 0, errors.New("xcol: row meta frame is not valid JSON")
-			}
-			var err error
-			cw, err = NewWriterMetaJSON(w, buf)
-			if err != nil {
-				return 0, err
-			}
-			continue
+		if err != nil {
+			return 0, err
 		}
 		switch t {
 		case xcal.FrameKPI:
-			if err := xcal.DecodeSlotKPI(buf, &kpi); err != nil {
+			if err := xcal.DecodeSlotKPI(payload, &kpi); err != nil {
 				return 0, err
 			}
 			if err := cw.WriteKPI(&kpi); err != nil {
 				return 0, err
 			}
 		case xcal.FrameMIB, xcal.FrameSIB1, xcal.FrameDCI, xcal.FrameEvent:
-			if err := cw.writeRawAux(t, buf); err != nil {
+			if err := cw.writeRawAux(t, payload); err != nil {
 				return 0, err
 			}
 		case xcal.FrameMeta:
@@ -92,9 +56,6 @@ func ConvertRowToCol(r io.Reader, w io.Writer) (uint64, error) {
 		default:
 			return 0, fmt.Errorf("xcol: unknown row frame type %d", t)
 		}
-	}
-	if cw == nil {
-		return 0, errors.New("xcol: row trace has no frames")
 	}
 	if err := cw.Close(); err != nil {
 		return 0, err
@@ -120,26 +81,8 @@ func ConvertColToRow(r io.ReaderAt, size int64, w io.Writer) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(xcal.TraceMagic[:]); err != nil {
-		return 0, err
-	}
-	var v [2]byte
-	binary.LittleEndian.PutUint16(v[:], xcal.TraceVersion)
-	if _, err := bw.Write(v[:]); err != nil {
-		return 0, err
-	}
-	frame := func(t xcal.FrameType, payload []byte) error {
-		var fh [5]byte
-		fh[0] = uint8(t)
-		binary.LittleEndian.PutUint32(fh[1:], uint32(len(payload)))
-		if _, err := bw.Write(fh[:]); err != nil {
-			return err
-		}
-		_, err := bw.Write(payload)
-		return err
-	}
-	if err := frame(xcal.FrameMeta, s.MetaJSON()); err != nil {
+	rw, err := xcal.NewWriterMetaJSON(w, s.MetaJSON())
+	if err != nil {
 		return 0, err
 	}
 
@@ -163,12 +106,11 @@ func ConvertColToRow(r io.ReaderAt, size int64, w io.Writer) (uint64, error) {
 	var (
 		nKPI uint64
 		ai   int
-		kbuf []byte
 		kpi  xcal.SlotKPI
 	)
 	emitAuxThrough := func(pos uint64) error {
 		for ai < len(aux) && aux[ai].pos <= pos {
-			if err := frame(aux[ai].t, aux[ai].payload); err != nil {
+			if err := rw.WriteFrame(aux[ai].t, aux[ai].payload); err != nil {
 				return err
 			}
 			ai++
@@ -188,8 +130,7 @@ func ConvertColToRow(r io.ReaderAt, size int64, w io.Writer) (uint64, error) {
 				return 0, err
 			}
 			b.Row(i, &kpi)
-			kbuf = kpi.AppendTo(kbuf[:0])
-			if err := frame(xcal.FrameKPI, kbuf); err != nil {
+			if err := rw.WriteKPI(&kpi); err != nil {
 				return 0, err
 			}
 			nKPI++
@@ -199,12 +140,10 @@ func ConvertColToRow(r io.ReaderAt, size int64, w io.Writer) (uint64, error) {
 		return 0, s.Corrupt()[0]
 	}
 	// Frames recorded after the last KPI record.
-	for ; ai < len(aux); ai++ {
-		if err := frame(aux[ai].t, aux[ai].payload); err != nil {
-			return 0, err
-		}
+	if err := emitAuxThrough(math.MaxUint64); err != nil {
+		return 0, err
 	}
-	return nKPI, bw.Flush()
+	return nKPI, rw.Flush()
 }
 
 // DetectFormat sniffs the container magic of the file at path. It
