@@ -167,6 +167,12 @@ type Sample struct {
 // RSRQ never pay for the conversion.
 func (s *Sample) RSRQdB() float64 { return RSRQFromSINR(s.rsrqSINRdB) }
 
+// RSRQdB32 returns float32(s.RSRQdB()) bit for bit, the precision traces
+// store, through a certified interpolation table that skips the exp and
+// log of the exact conversion for all but about 0.2% of inputs (see
+// rsrq.go).
+func (s *Sample) RSRQdB32() float32 { return rsrq32(s.rsrqSINRdB) }
+
 // fadingKernel holds the per-slot AR(1) coefficients of the three fading
 // processes. dt and all correlation times are fixed per session and the
 // UE speed is a route constant, so the (ρ, √(1−ρ²)) pairs are computed
@@ -246,6 +252,7 @@ type Channel struct {
 	geoDataDBm float64 // 10·log10(noiseMW + data interference)
 	geoRSRQDBm float64 // 10·log10(noiseMW + RSRQ interference)
 	powers     []float64
+	fcTermDB   float64 // freqTermDB(CarrierFreqMHz), strongestSite's frequency term
 
 	// scan memoizes a moving UE's last site scan (nil when staticGeo).
 	// ShareSiteScans points same-geometry channels of one link at a
@@ -289,11 +296,12 @@ func New(cfg Config) (*Channel, error) {
 		}
 	}
 	ch.powers = make([]float64, len(cfg.Deployment.Sites))
+	ch.fcTermDB = freqTermDB(cfg.CarrierFreqMHz)
 	ch.staticGeo = cfg.Route.SpeedMPS == 0 || len(cfg.Route.Waypoints) == 1
 	if ch.staticGeo {
 		pos := cfg.Route.Waypoints[0]
 		ch.geoCell, ch.geoRSRP, ch.geoInterf =
-			cfg.Deployment.strongestSite(pos, cfg.CarrierFreqMHz, ch.powers)
+			cfg.Deployment.strongestSite(pos, ch.fcTermDB, ch.powers)
 		interfData := ch.geoInterf*cfg.NeighborLoad + ch.floorMW
 		ch.geoDataDBm = 10 * math.Log10(ch.noiseMW+interfData)
 		interfRSRQ := ch.geoInterf*rsrqLoad + ch.floorMW
@@ -361,7 +369,7 @@ func (c *Channel) scanAt(p Point) (cell int, rsrpDBm, interfMW float64) {
 	m := c.scan
 	x, y := math.Float64bits(p.X), math.Float64bits(p.Y)
 	if !m.valid || m.x != x || m.y != y {
-		m.cell, m.rsrp, m.interfMW = c.cfg.Deployment.strongestSite(p, c.cfg.CarrierFreqMHz, c.powers)
+		m.cell, m.rsrp, m.interfMW = c.cfg.Deployment.strongestSite(p, c.fcTermDB, c.powers)
 		m.valid, m.x, m.y = true, x, y
 	}
 	return m.cell, m.rsrp, m.interfMW

@@ -74,26 +74,30 @@ func (d Deployment) Validate() error {
 	return nil
 }
 
+// freqTermDB is the frequency term of strongestSite's path loss,
+// 20·log10(fc_GHz), for a carrier at fcMHz.
+func freqTermDB(fcMHz float64) float64 { return 20 * math.Log10(fcMHz/1000) }
+
 // strongestSite returns the index of the site with the least path loss from
-// p at carrier frequency fcMHz and the corresponding received per-RE power
-// (dBm), plus the total interference power (mW) from all other sites.
-// powers is caller-provided scratch (len ≥ len(d.Sites)) so the per-slot
-// hot path allocates nothing. Path loss is a 3GPP UMa-style line-of-sight
-// model, 28.0 + 22·log10(d) + 20·log10(fc_GHz) with a 10 m minimum
-// distance; its frequency term is computed once per scan.
+// p and the corresponding received per-RE power (dBm), plus the total
+// interference power (mW) from all other sites. powers is caller-provided
+// scratch (len ≥ len(d.Sites)) so the per-slot hot path allocates nothing.
+// Path loss is a 3GPP UMa-style line-of-sight model,
+// 28.0 + 22·log10(d) + 20·log10(fc_GHz) with a 10 m minimum distance; the
+// caller passes its frequency term, freqTermDB(fc), computed once per
+// channel.
 //
 //detlint:zeroalloc
-func (d Deployment) strongestSite(p Point, fcMHz float64, powers []float64) (idx int, rsrpDBm float64, interfMW float64) {
+func (d Deployment) strongestSite(p Point, fcTermDB float64, powers []float64) (idx int, rsrpDBm float64, interfMW float64) {
 	best := math.Inf(-1)
 	idx = -1
 	powers = powers[:len(d.Sites)]
-	fcTerm := 20 * math.Log10(fcMHz/1000)
 	for i, s := range d.Sites {
 		dist := p.Distance(s)
 		if dist < 10 {
 			dist = 10
 		}
-		rx := d.TxPowerDBmPerRE - (28.0 + 22*math.Log10(dist) + fcTerm)
+		rx := d.TxPowerDBmPerRE - (28.0 + 22*math.Log10(dist) + fcTermDB)
 		powers[i] = rx
 		if rx > best {
 			best = rx

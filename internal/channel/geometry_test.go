@@ -85,7 +85,7 @@ func referenceStrongestSite(d Deployment, p Point, fcMHz float64) (idx int, rsrp
 
 // scan runs the production site scan with fresh scratch.
 func scan(d Deployment, p Point, fcMHz float64) (int, float64, float64) {
-	return d.strongestSite(p, fcMHz, make([]float64, len(d.Sites)))
+	return d.strongestSite(p, freqTermDB(fcMHz), make([]float64, len(d.Sites)))
 }
 
 // walker builds a channel on route r so tests can drive the production

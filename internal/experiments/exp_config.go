@@ -12,6 +12,7 @@ import (
 	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/phy"
 	"github.com/midband5g/midband/internal/tdd"
+	"github.com/midband5g/midband/internal/xcal"
 	"github.com/midband5g/midband/internal/xcol"
 )
 
@@ -50,7 +51,7 @@ func Tables23(o Options) ([]ConfigRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sess.RunIperf(o.sessionSeconds(1.5), net5g.Saturate, w); err != nil {
+		if _, err := sess.RunIperf(o.sessionSeconds(1.5), net5g.Saturate, signalingOnly{w}); err != nil {
 			return nil, err
 		}
 		if err := w.Close(); err != nil {
@@ -73,6 +74,13 @@ func Tables23(o Options) ([]ConfigRow, error) {
 	}
 	return rows, nil
 }
+
+// signalingOnly drops KPI records before the trace encoder: the Tables 2/3
+// extraction reads only the MIB/SIB1/DCI frames. The session's DCI
+// subsampling wraps it, so it still sees every record.
+type signalingOnly struct{ xcal.TraceWriter }
+
+func (signalingOnly) WriteKPI(*xcal.SlotKPI) error { return nil }
 
 // Sec32Result compares the §3.2 theoretical PHY maxima with the maximum
 // observed throughput, reproducing the "14% and 29% higher" finding for

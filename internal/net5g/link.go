@@ -268,7 +268,7 @@ func appendKPI(dst []xcal.SlotKPI, r *gnb.SlotResult, carrier uint8, rat xcal.RA
 		ServingCell: uint16(r.Sample.ServingCell),
 		SINRdB:      float32(r.Sample.SINRdB),
 		RSRPdBm:     float32(r.Sample.RSRPdBm),
-		RSRQdB:      float32(r.Sample.RSRQdB()),
+		RSRQdB:      r.Sample.RSRQdB32(),
 		PosX:        float32(r.Sample.Pos.X),
 		PosY:        float32(r.Sample.Pos.Y),
 		Outage:      r.Sample.Outage,

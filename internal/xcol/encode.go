@@ -95,58 +95,68 @@ func appendRawInts[T intColumn](dst []byte, xs []T, width int) []byte {
 // 64-bit load.
 const maxPackWidth = 32
 
-// colStats is the one-pass sizing summary encodeIntCol chooses from.
+// colStats is the sizing summary encodeIntCol chooses from.
 type colStats struct {
-	allSame   bool
-	deltaSize int // zigzag-varint per delta
-	rleSize   int // (delta, run) pairs
-	runs      int
 	base      uint64 // unsigned minimum
 	rangeV    uint64 // max - base (unsigned)
-	packWidth int    // bits.Len64(rangeV), 0 when allSame
+	packWidth int    // bits.Len64(rangeV)
+	rleSize   int    // (delta, run) pairs; meaningful only when rleOK
+	rleOK     bool   // runs·8 ≤ n, the long-run condition RLE must meet
+	deltaSize int    // zigzag-varint per delta; 8-byte columns only
 }
 
-func sizeIntCol[T intColumn](xs []T) colStats {
-	n := len(xs)
-	first := uint64(xs[0])
-	st := colStats{allSame: true, base: first}
-	st.deltaSize = uvarintLen(zigzag(first))
-	st.rleSize = st.deltaSize
-	maxV := first
-	prev := first
+// sizeIntCol sizes the candidates of a column that is not all-same. Each
+// pass does only what can still change the choice: a column of width ≤ 4
+// bytes never sizes delta-varint, because every varint takes at least a
+// byte, so 4·deltaSize ≥ 4n ≥ n·width ≥ the best size, and delta needs a
+// 4× win; the RLE pass stops once runs·8 > n, past which RLE is never
+// chosen.
+func sizeIntCol[T intColumn](xs []T, base, maxV uint64, width int) colStats {
+	st := colStats{base: base, rangeV: maxV - base}
+	st.packWidth = bits.Len64(st.rangeV)
+	st.rleSize, st.rleOK = rleSizeInt(xs)
+	if width == 8 {
+		prev := uint64(xs[0])
+		st.deltaSize = uvarintLen(zigzag(prev))
+		for _, x := range xs[1:] {
+			cur := uint64(x)
+			st.deltaSize += uvarintLen(zigzag(cur - prev))
+			prev = cur
+		}
+	}
+	return st
+}
+
+// rleSizeInt returns the delta-RLE size of xs, or false as soon as its
+// runs exceed len(xs)/8.
+func rleSizeInt[T intColumn](xs []T) (int, bool) {
+	maxRuns := len(xs) / 8
+	prev := uint64(xs[0])
+	size := uvarintLen(zigzag(prev))
+	runs := 0
 	var runDelta uint64
 	runLen := 0
-	for i := 1; i < n; i++ {
-		cur := uint64(xs[i])
+	for _, x := range xs[1:] {
+		cur := uint64(x)
 		d := cur - prev
 		prev = cur
-		if d != 0 {
-			st.allSame = false
-		}
-		if cur < st.base {
-			st.base = cur
-		}
-		if cur > maxV {
-			maxV = cur
-		}
-		st.deltaSize += uvarintLen(zigzag(d))
 		if runLen > 0 && d == runDelta {
 			runLen++
 			continue
 		}
 		if runLen > 0 {
-			st.rleSize += uvarintLen(zigzag(runDelta)) + uvarintLen(uint64(runLen))
-			st.runs++
+			if runs++; runs > maxRuns {
+				return 0, false
+			}
+			size += uvarintLen(zigzag(runDelta)) + uvarintLen(uint64(runLen))
 		}
 		runDelta, runLen = d, 1
 	}
 	if runLen > 0 {
-		st.rleSize += uvarintLen(zigzag(runDelta)) + uvarintLen(uint64(runLen))
-		st.runs++
+		runs++
+		size += uvarintLen(zigzag(runDelta)) + uvarintLen(uint64(runLen))
 	}
-	st.rangeV = maxV - st.base
-	st.packWidth = bits.Len64(st.rangeV)
-	return st
+	return size, runs <= maxRuns
 }
 
 func gcdU64(a, b uint64) uint64 {
@@ -205,37 +215,50 @@ func packedSize(base uint64, width, n int) int {
 }
 
 // appendPacked emits [base uvarint][width u8][values - base, LSB-first
-// width-bit packed].
+// width-bit packed], one loop per lane width roundWidth yields.
 func appendPacked[T intColumn](dst []byte, xs []T, base uint64, width int) []byte {
 	dst = binary.AppendUvarint(dst, base)
 	dst = append(dst, uint8(width))
-	var acc uint64
-	accBits := 0
-	for _, x := range xs {
-		acc |= (uint64(x) - base) << accBits
-		accBits += width
-		for accBits >= 8 {
-			dst = append(dst, byte(acc))
-			acc >>= 8
-			accBits -= 8
+	switch width {
+	case 8:
+		for _, x := range xs {
+			dst = append(dst, byte(uint64(x)-base))
 		}
-	}
-	if accBits > 0 {
-		dst = append(dst, byte(acc))
+	case 16:
+		for _, x := range xs {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(uint64(x)-base))
+		}
+	case 32:
+		for _, x := range xs {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(uint64(x)-base))
+		}
+	default: // 1, 2 or 4 bits: 8/width values per byte
+		var acc byte
+		shift := 0
+		for _, x := range xs {
+			acc |= byte(uint64(x)-base) << shift
+			if shift += width; shift == 8 {
+				dst = append(dst, acc)
+				acc, shift = 0, 0
+			}
+		}
+		if shift > 0 {
+			dst = append(dst, acc)
+		}
 	}
 	return dst
 }
 
 // appendPackedScale emits [base uvarint][scale uvarint][width u8]
 // [(values - base) / scale, LSB-first width-bit packed].
-func appendPackedScale[T intColumn](dst []byte, xs []T, st colStats, scale uint64, width int) []byte {
-	dst = binary.AppendUvarint(dst, st.base)
+func appendPackedScale[T intColumn](dst []byte, xs []T, base, scale uint64, width int) []byte {
+	dst = binary.AppendUvarint(dst, base)
 	dst = binary.AppendUvarint(dst, scale)
 	dst = append(dst, uint8(width))
 	var acc uint64
 	accBits := 0
 	for _, x := range xs {
-		acc |= (uint64(x) - st.base) / scale << accBits
+		acc |= (uint64(x) - base) / scale << accBits
 		accBits += width
 		for accBits >= 8 {
 			dst = append(dst, byte(acc))
@@ -281,10 +304,15 @@ func appendDeltaRLE[T intColumn](dst []byte, xs []T) []byte {
 // identical inputs always produce identical bytes.
 func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 	n := len(xs)
-	st := sizeIntCol(xs)
-	if st.allSame {
-		return encConst, binary.AppendUvarint(dst, zigzag(uint64(xs[0])))
+	minV, maxV := uint64(xs[0]), uint64(xs[0])
+	for _, x := range xs[1:] {
+		minV = min(minV, uint64(x))
+		maxV = max(maxV, uint64(x))
 	}
+	if minV == maxV {
+		return encConst, binary.AppendUvarint(dst, zigzag(minV))
+	}
+	st := sizeIntCol(xs, minV, maxV, width)
 	rawSize := n * width
 
 	// Decode-speed-first selection. Raw is the floor; packed must earn
@@ -311,10 +339,10 @@ func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 			}
 		}
 	}
-	if st.runs*8 <= n && st.rleSize < size {
+	if st.rleOK && st.rleSize < size {
 		enc, size = encDeltaRLE, st.rleSize
 	}
-	if st.deltaSize*4 < size {
+	if width == 8 && st.deltaSize*4 < size {
 		enc, size = encDelta, st.deltaSize
 	}
 
@@ -322,7 +350,7 @@ func encodeIntCol[T intColumn](dst []byte, xs []T, width int) (uint8, []byte) {
 	case encPacked:
 		return encPacked, appendPacked(dst, xs, st.base, packW)
 	case encPackedScale:
-		return encPackedScale, appendPackedScale(dst, xs, st, scale, scaleWidth)
+		return encPackedScale, appendPackedScale(dst, xs, st.base, scale, scaleWidth)
 	case encDeltaRLE:
 		return encDeltaRLE, appendDeltaRLE(dst, xs)
 	case encDelta:
@@ -692,9 +720,13 @@ func decodeU8Col(data []byte, enc uint8, out []uint8) error {
 	return decodeIntCol(data, enc, out, 1)
 }
 
-// decodePackedU8 is the packed decoder for byte columns. A valid
-// encoder never emits base+range past one byte, so the check below is
-// strictness, not a compatibility limit.
+// decodePackedU8 is the packed decoder for byte columns. The encoder
+// keeps base + range ≤ 255, not base + 2^width − 1: a range of 9 rounds
+// up to 4-bit lanes, so base 243 is valid though a lane could hold 15.
+// The lane loops below add base to every lane of a word at once, which
+// is exact only when no lane can carry past 255; otherwise the column
+// decodes value by value and rejects only a value that really exceeds
+// one byte.
 func decodePackedU8(data []byte, out []uint8) error {
 	base, pos := uvarint(data, 0)
 	if pos < 0 || pos >= len(data) {
@@ -709,12 +741,16 @@ func decodePackedU8(data []byte, out []uint8) error {
 	if len(data)-pos != (n*width+7)/8 {
 		return fmt.Errorf("packed column: %d payload bytes for %d rows of width %d", len(data)-pos, n, width)
 	}
-	if base+(uint64(1)<<width-1) > 0xff {
+	if base > 0xff {
 		return fmt.Errorf("packed byte column: base %d exceeds one byte", base)
+	}
+	lanes := width
+	if base+(uint64(1)<<width-1) > 0xff {
+		lanes = 0 // a lane could carry past one byte
 	}
 	p := data[pos:]
 	i := 0
-	switch width {
+	switch lanes {
 	case 1:
 		rep := base * 0x0101010101010101
 		for ; i+8 <= n; i += 8 {
@@ -744,9 +780,9 @@ func decodePackedU8(data []byte, out []uint8) error {
 			out[i] = uint8(base) + p[i]
 		}
 	default:
-		// Odd widths never beat raw for byte columns, but decode them
-		// anyway: one value per byte-window load.
-		mask := uint8(1)<<width - 1
+		// Lanes that could carry, and odd widths (which never beat raw
+		// for byte columns): one value per byte-window load, checked.
+		mask := uint32(1)<<width - 1
 		bit := 0
 		for i := range out {
 			off := bit >> 3
@@ -754,7 +790,11 @@ func decodePackedU8(data []byte, out []uint8) error {
 			if off+1 < len(p) {
 				w |= uint32(p[off+1]) << 8
 			}
-			out[i] = uint8(base) + uint8(w>>(bit&7))&mask
+			v := base + uint64(w>>(bit&7)&mask)
+			if v > 0xff {
+				return fmt.Errorf("packed byte column: row %d value %d exceeds one byte", i, v)
+			}
+			out[i] = uint8(v)
 			bit += width
 		}
 	}
@@ -833,17 +873,23 @@ func decodeBoolCol(data []byte, enc uint8, out []bool) error {
 func encodeFloatCol(dst []byte, xs []float32) (uint8, []byte) {
 	n := len(xs)
 	first := math.Float32bits(xs[0])
-	allSame := true
+	i := 1
+	for i < n && math.Float32bits(xs[i]) == first {
+		i++
+	}
+	if i == n {
+		return encConst, binary.LittleEndian.AppendUint32(dst, first)
+	}
+	// Size the (xor, run) pairs, stopping once runs·8 > n: past that RLE
+	// is never chosen.
+	maxRuns := n / 8
 	rleSize := uvarintLen(uint64(first))
 	runs := 0
 	prev := first
 	var runXor uint32
 	runLen := 0
-	for i := 1; i < n; i++ {
-		cur := math.Float32bits(xs[i])
-		if cur != first {
-			allSame = false
-		}
+	for _, v := range xs[1:] {
+		cur := math.Float32bits(v)
 		x := prev ^ cur
 		prev = cur
 		if runLen > 0 && x == runXor {
@@ -851,19 +897,18 @@ func encodeFloatCol(dst []byte, xs []float32) (uint8, []byte) {
 			continue
 		}
 		if runLen > 0 {
+			if runs++; runs > maxRuns {
+				break
+			}
 			rleSize += uvarintLen(uint64(runXor)) + uvarintLen(uint64(runLen))
-			runs++
 		}
 		runXor, runLen = x, 1
 	}
-	if runLen > 0 {
-		rleSize += uvarintLen(uint64(runXor)) + uvarintLen(uint64(runLen))
+	if runs <= maxRuns {
 		runs++
+		rleSize += uvarintLen(uint64(runXor)) + uvarintLen(uint64(runLen))
 	}
-	if allSame {
-		return encConst, binary.LittleEndian.AppendUint32(dst, first)
-	}
-	if runs*8 <= n && rleSize < 4*n {
+	if runs <= maxRuns && rleSize < 4*n {
 		dst = binary.AppendUvarint(dst, uint64(first))
 		prev = first
 		runLen = 0

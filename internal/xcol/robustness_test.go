@@ -391,3 +391,34 @@ func TestDecodePackedScaleOddWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedByteColumnNear255 round-trips byte columns whose base plus
+// range reaches 255, at each sub-byte lane width, both where a full lane
+// would still fit in a byte and where it could carry past 255 (base 243,
+// range 12 in 4-bit lanes), and checks that a packed value past 255 is
+// still rejected.
+func TestPackedByteColumnNear255(t *testing.T) {
+	for _, c := range []struct{ lo, hi int }{{254, 255}, {253, 255}, {252, 255}, {243, 255}, {240, 255}} {
+		xs := make([]uint8, 37)
+		for i := range xs {
+			xs[i] = uint8(c.lo + i%(c.hi-c.lo+1))
+		}
+		enc, payload := encodeIntCol(nil, xs, 1)
+		if enc != encPacked {
+			t.Fatalf("[%d, %d]: encoding %d, want packed", c.lo, c.hi, enc)
+		}
+		out := make([]uint8, len(xs))
+		if err := decodeU8Col(payload, enc, out); err != nil {
+			t.Fatalf("[%d, %d]: %v", c.lo, c.hi, err)
+		}
+		if !bytes.Equal(out, xs) {
+			t.Fatalf("[%d, %d]: decoded %v, want %v", c.lo, c.hi, out, xs)
+		}
+	}
+	// base 243, 4-bit lanes, second value 13: 256.
+	payload := binary.AppendUvarint(nil, 243)
+	payload = append(payload, 4, 0xd0)
+	if err := decodeU8Col(payload, encPacked, make([]uint8, 2)); err == nil {
+		t.Fatal("value 256 in a packed byte column decoded without error")
+	}
+}
