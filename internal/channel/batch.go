@@ -2,9 +2,9 @@ package channel
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/midband5g/midband/internal/obs"
+	"github.com/midband5g/midband/internal/simrand"
 )
 
 // This file is the structure-of-arrays batch stepper behind gnb.Cell,
@@ -22,7 +22,7 @@ import (
 // Determinism contract: a batch-stepped channel produces bit-identical
 // SINR samples, in draw-for-draw identical RNG order, to the same channel
 // stepped via Channel.Step. The fast lane replays Step's exact arithmetic
-// (same operand order, same factor grouping) against the same *rand.Rand
+// (same operand order, same factor grouping) against the same *simrand.Rand
 // stream; channels whose slot path is not statically reducible — mobile
 // routes, blockage, fault blackouts — fall back to calling Channel.Step,
 // so every configuration stays exact.
@@ -53,7 +53,7 @@ type Batch struct {
 	geoRSRP            []float64
 	biasDB             []float64
 	dataDBm            []float64 // 10·log10(noise + data interference)
-	rngs               []*rand.Rand
+	rngs               []*simrand.Rand
 }
 
 // batchFastLane reports whether a channel's slot path is statically
@@ -91,7 +91,7 @@ func NewBatch(chs []*Channel) (*Batch, error) {
 		geoRSRP: make([]float64, n),
 		biasDB:  make([]float64, n),
 		dataDBm: make([]float64, n),
-		rngs:    make([]*rand.Rand, n),
+		rngs:    make([]*simrand.Rand, n),
 	}
 	for i, c := range chs {
 		if c == nil {

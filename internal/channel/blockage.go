@@ -2,7 +2,8 @@ package channel
 
 import (
 	"fmt"
-	"math/rand"
+
+	"github.com/midband5g/midband/internal/simrand"
 )
 
 // BlockageConfig parameterizes the mmWave LOS/NLOS/outage Markov process
@@ -57,11 +58,11 @@ const (
 
 type blockageState struct {
 	cfg   BlockageConfig
-	rng   *rand.Rand
+	rng   *simrand.Rand
 	state blockState
 }
 
-func newBlockageState(cfg BlockageConfig, rng *rand.Rand) *blockageState {
+func newBlockageState(cfg BlockageConfig, rng *simrand.Rand) *blockageState {
 	return &blockageState{cfg: cfg, rng: rng, state: stateLOS}
 }
 

@@ -3,12 +3,12 @@ package channel
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"github.com/midband5g/midband/internal/fault"
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
+	"github.com/midband5g/midband/internal/simrand"
 )
 
 // Config parameterizes a per-carrier radio channel process.
@@ -225,7 +225,7 @@ const rsrqLoad = 0.5
 // Channel is the per-slot radio process. It is not safe for concurrent use.
 type Channel struct {
 	cfg      Config
-	rng      *rand.Rand
+	rng      *simrand.Rand
 	slot     int64
 	shadowDB float64
 	fastDB   float64
@@ -268,7 +268,7 @@ func New(cfg Config) (*Channel, error) {
 	}
 	ch := &Channel{
 		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng: simrand.New(cfg.Seed),
 	}
 	// Start the correlated processes at a random draw from their
 	// stationary distributions.
@@ -447,7 +447,7 @@ func (c *Channel) Step() Sample {
 
 // StepInto is Step writing the sample in place — the carrier slot loop
 // threads one Sample through the whole chain instead of copying the
-// struct at every return.
+// struct at every return. Every field of out is overwritten.
 //
 //detlint:zeroalloc
 func (c *Channel) StepInto(out *Sample) {
@@ -529,15 +529,16 @@ func (c *Channel) StepInto(out *Sample) {
 			obs.Sim.SINRdB.Observe(sinrDB)
 		}
 	}
-	*out = Sample{
-		Pos:         pos,
-		ServingCell: cell,
-		RSRPdBm:     rsrp - blockLossDB,
-		rsrqSINRdB:  sinrRSRQ,
-		SINRdB:      sinrDB,
-		LOS:         los,
-		Outage:      outage,
-	}
+	// Field by field: a composite literal is built in a stack temporary
+	// with narrow stores and copied out with wide loads, which stalls
+	// store forwarding on this per-slot path.
+	out.Pos = pos
+	out.ServingCell = cell
+	out.RSRPdBm = rsrp - blockLossDB
+	out.rsrqSINRdB = sinrRSRQ
+	out.SINRdB = sinrDB
+	out.LOS = los
+	out.Outage = outage
 }
 
 // RSRQFromSINR converts a wideband signal-to-rest ratio into RSRQ:

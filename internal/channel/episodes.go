@@ -2,7 +2,8 @@ package channel
 
 import (
 	"fmt"
-	"math/rand"
+
+	"github.com/midband5g/midband/internal/simrand"
 )
 
 // EpisodeConfig parameterizes an episodic degradation process: occasional
@@ -34,13 +35,13 @@ func (e EpisodeConfig) Validate() error {
 
 type episodeState struct {
 	cfg       EpisodeConfig
-	rng       *rand.Rand
+	rng       *simrand.Rand
 	remaining float64 // seconds left in the current episode (0 = none)
 	depthDB   float64
 	ramp      float64 // current applied depth (episodes ramp in/out)
 }
 
-func newEpisodeState(cfg EpisodeConfig, rng *rand.Rand) *episodeState {
+func newEpisodeState(cfg EpisodeConfig, rng *simrand.Rand) *episodeState {
 	return &episodeState{cfg: cfg, rng: rng}
 }
 

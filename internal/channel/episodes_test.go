@@ -1,8 +1,9 @@
 package channel
 
 import (
-	"math/rand"
 	"testing"
+
+	"github.com/midband5g/midband/internal/simrand"
 )
 
 func TestEpisodeValidation(t *testing.T) {
@@ -25,7 +26,7 @@ func TestEpisodeValidation(t *testing.T) {
 
 func TestEpisodeStatistics(t *testing.T) {
 	cfg := EpisodeConfig{RatePerSec: 1.0 / 30, MeanSeconds: 8, MinDepthDB: 5, MaxDepthDB: 15}
-	e := newEpisodeState(cfg, rand.New(rand.NewSource(3)))
+	e := newEpisodeState(cfg, simrand.New(3))
 	const dt = 0.0005
 	const n = 8_000_000 // 4000 s
 	degraded := 0
@@ -68,7 +69,7 @@ func TestEpisodeStatistics(t *testing.T) {
 
 func TestEpisodeRampIsGradual(t *testing.T) {
 	cfg := EpisodeConfig{RatePerSec: 100, MeanSeconds: 10, MinDepthDB: 10, MaxDepthDB: 10}
-	e := newEpisodeState(cfg, rand.New(rand.NewSource(1)))
+	e := newEpisodeState(cfg, simrand.New(1))
 	const dt = 0.0005
 	prev := 0.0
 	for i := 0; i < 100000; i++ {

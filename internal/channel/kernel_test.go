@@ -12,7 +12,8 @@ import (
 // coefficients, the dB→mW constants and the full site scan from scratch.
 // It replicates the pre-optimization Step expression for expression,
 // converting RSRQ eagerly every slot; the production Channel must match it
-// bit for bit.
+// bit for bit. It draws from math/rand, so the comparison also pins the
+// production generator (internal/simrand) to math/rand's streams.
 type referenceChannel struct {
 	cfg      Config
 	rng      *rand.Rand
@@ -20,8 +21,8 @@ type referenceChannel struct {
 	shadowDB float64
 	fastDB   float64
 	slowDB   float64
-	blk      *blockageState
-	epi      *episodeState
+	blk      *refBlockage
+	epi      *refEpisodes
 }
 
 func newReferenceChannel(t *testing.T, cfg Config) *referenceChannel {
@@ -37,12 +38,89 @@ func newReferenceChannel(t *testing.T, cfg Config) *referenceChannel {
 	ch.shadowDB = ch.rng.NormFloat64() * cfg.ShadowSigmaDB
 	ch.fastDB = ch.rng.NormFloat64() * cfg.FastSigmaDB
 	if cfg.Blockage != nil {
-		ch.blk = newBlockageState(*cfg.Blockage, ch.rng)
+		ch.blk = &refBlockage{cfg: *cfg.Blockage, rng: ch.rng}
 	}
 	if cfg.Episodes != nil {
-		ch.epi = newEpisodeState(*cfg.Episodes, ch.rng)
+		ch.epi = &refEpisodes{cfg: *cfg.Episodes, rng: ch.rng}
 	}
 	return ch
+}
+
+// refBlockage is blockageState, stepped from the reference's math/rand
+// stream.
+type refBlockage struct {
+	cfg   BlockageConfig
+	rng   *rand.Rand
+	state blockState
+}
+
+func (b *refBlockage) step(dt, speed float64) (los, outage bool, lossDB float64) {
+	mob := 1 + b.cfg.SpeedFactor*speed
+	switch b.state {
+	case stateLOS:
+		if b.rng.Float64() < b.cfg.BlockRatePerSec*mob*dt {
+			b.state = stateNLOS
+		}
+	case stateNLOS:
+		switch r := b.rng.Float64(); {
+		case r < b.cfg.RecoverRatePerSec*dt:
+			b.state = stateLOS
+		case r < (b.cfg.RecoverRatePerSec+b.cfg.OutageRatePerSec*mob)*dt:
+			b.state = stateOutage
+		}
+	case stateOutage:
+		if b.rng.Float64() < b.cfg.OutageRecoverPerSec*dt {
+			b.state = stateLOS
+		}
+	}
+	switch b.state {
+	case stateNLOS:
+		return false, false, b.cfg.NLOSLossDB
+	case stateOutage:
+		return false, true, 0
+	default:
+		return true, false, 0
+	}
+}
+
+// refEpisodes is episodeState, stepped from the reference's math/rand
+// stream.
+type refEpisodes struct {
+	cfg                      EpisodeConfig
+	rng                      *rand.Rand
+	remaining, depthDB, ramp float64
+}
+
+func (e *refEpisodes) step(dt float64) float64 {
+	if e.remaining <= 0 {
+		if e.rng.Float64() < e.cfg.RatePerSec*dt {
+			e.remaining = e.rng.ExpFloat64() * e.cfg.MeanSeconds
+			e.depthDB = e.cfg.MinDepthDB + e.rng.Float64()*(e.cfg.MaxDepthDB-e.cfg.MinDepthDB)
+		}
+	} else {
+		e.remaining -= dt
+	}
+	target := 0.0
+	if e.remaining > 0 {
+		target = e.depthDB
+	}
+	const rampPerSec = 1.0
+	if e.ramp < target {
+		e.ramp += rampPerSec * dt * e.depthDB
+		if e.ramp > target {
+			e.ramp = target
+		}
+	} else if e.ramp > target {
+		d := e.depthDB
+		if d == 0 {
+			d = 1
+		}
+		e.ramp -= rampPerSec * dt * d
+		if e.ramp < target {
+			e.ramp = target
+		}
+	}
+	return e.ramp
 }
 
 // step returns the slot's sample together with its RSRQ, converted with

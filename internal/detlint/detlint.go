@@ -10,8 +10,9 @@
 // Nine analyzers make up the suite:
 //
 //   - globalrand: simulation packages must not call math/rand's
-//     package-level functions (or rand.Seed); randomness flows through a
-//     seeded *rand.Rand, as in internal/channel.
+//     package-level functions (or rand.Seed), nor build math/rand
+//     generators; randomness flows through a seeded *simrand.Rand, as in
+//     internal/channel.
 //   - walltime: time.Now / time.Since are forbidden module-wide outside
 //     tests; the few legitimate timing sites (obs, fleet, the CLIs,
 //     core's metrics hooks) carry a //detlint:allow walltime directive.
@@ -35,9 +36,10 @@
 //     goroutine captures) of results returned by methods documented
 //     "owned ... until the next" call, using a small ownership fact
 //     exported per package.
-//   - seedflow: RNG constructions in simulation packages must derive
-//     their seed through fleet.SplitSeed (or a config field/parameter) —
-//     no literal seeds and no raw seed arithmetic.
+//   - seedflow: RNG constructions in simulation packages (simrand.New,
+//     and math/rand's constructors) must derive their seed through
+//     fleet.SplitSeed (or a config field/parameter) — no literal seeds
+//     and no raw seed arithmetic.
 //
 // A site that is genuinely exempt carries a trailing
 //

@@ -109,10 +109,17 @@ func TestPolicy(t *testing.T) {
 		"github.com/midband5g/midband/cmd/campaign":                                                          false,
 		"github.com/midband5g/midband/internal/channel [github.com/midband5g/midband/internal/channel.test]": true,
 		"sim/internal/ue": true,
+		"github.com/midband5g/midband/internal/simrand": true,
 	} {
 		if got := detlint.IsSimPackage(path); got != want {
 			t.Errorf("IsSimPackage(%q) = %v, want %v", path, got, want)
 		}
+	}
+	if !detlint.IsSimrandPackage("github.com/midband5g/midband/internal/simrand") || !detlint.IsSimrandPackage("sim/internal/simrand") {
+		t.Error("internal/simrand not recognized as the generator package")
+	}
+	if detlint.IsSimrandPackage("github.com/midband5g/midband/internal/simrand/extra") || detlint.IsSimrandPackage("example.com/simrand") {
+		t.Error("a package other than internal/simrand recognized as the generator package")
 	}
 	if !detlint.IsObsPackage("github.com/midband5g/midband/internal/obs") {
 		t.Error("internal/obs not recognized as obs package")

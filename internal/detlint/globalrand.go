@@ -6,18 +6,21 @@ import (
 	"go/types"
 )
 
-// GlobalRand forbids math/rand's package-level convenience functions
-// (and rand.Seed) inside the simulation core. The package-level
-// functions draw from a process-global source that is shared across
-// goroutines, so concurrent fleet jobs would interleave draws and the
-// sequence would depend on worker count and scheduling — exactly the
-// nondeterminism the contract rules out. Randomness must flow through a
-// seeded *rand.Rand owned by the component, as internal/channel does:
+// GlobalRand forbids math/rand inside the simulation core, except for
+// its types. The package-level draw functions (and rand.Seed) draw from
+// a process-global source that is shared across goroutines, so
+// concurrent fleet jobs would interleave draws and the sequence would
+// depend on worker count and scheduling — exactly the nondeterminism the
+// contract rules out. The constructors build a generator of a second
+// type: internal/simrand reproduces rand.New(rand.NewSource(seed))'s
+// streams draw for draw without the interface calls, so the core has one
+// generator type. Randomness must flow through a seeded *simrand.Rand
+// owned by the component, as internal/channel does:
 //
-//	rng: rand.New(rand.NewSource(cfg.Seed))
+//	rng: simrand.New(cfg.Seed)
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "forbid math/rand package-level functions in simulation packages; use a seeded *rand.Rand",
+	Doc:  "forbid math/rand functions and constructors in simulation packages; use a seeded *simrand.Rand",
 	Run:  runGlobalRand,
 }
 
@@ -51,6 +54,9 @@ func runGlobalRand(pass *Pass) {
 			}
 			name := sel.Sel.Name
 			if randConstructors[name] {
+				pass.Report(sel.Pos(), fmt.Sprintf(
+					"globalrand: rand.%s builds a math/rand generator in the simulation core; use simrand.New(seed), which reproduces rand.New(rand.NewSource(seed)) draw for draw",
+					name))
 				return true
 			}
 			verb := "draws from the process-global source"
@@ -58,7 +64,7 @@ func runGlobalRand(pass *Pass) {
 				verb = "reseeds the process-global source"
 			}
 			pass.Report(sel.Pos(), fmt.Sprintf(
-				"globalrand: rand.%s %s, which is shared across fleet workers; use a seeded *rand.Rand (rand.New(rand.NewSource(seed)))",
+				"globalrand: rand.%s %s, which is shared across fleet workers; use a seeded *simrand.Rand (simrand.New(seed))",
 				name, verb))
 			return true
 		})

@@ -27,6 +27,7 @@ var simCore = map[string]bool{
 	"iperf":     true,
 	"transport": true,
 	"fault":     true,
+	"simrand":   true,
 }
 
 // internalSegments splits a package path at its "internal" element and
@@ -51,6 +52,13 @@ func internalSegments(pkgPath string) []string {
 func IsSimPackage(pkgPath string) bool {
 	segs := internalSegments(pkgPath)
 	return len(segs) > 0 && simCore[segs[0]]
+}
+
+// IsSimrandPackage reports whether pkgPath is the simulator's random
+// number generator package (internal/simrand).
+func IsSimrandPackage(pkgPath string) bool {
+	segs := internalSegments(pkgPath)
+	return len(segs) == 1 && segs[0] == "simrand"
 }
 
 // IsObsPackage reports whether pkgPath is the observability layer

@@ -15,8 +15,9 @@ import (
 // from reviving `seed+i`, an xor, or a literal reseed, all of which
 // produce correlated or colliding streams across the fleet.
 //
-// At each rand.NewSource / rand.NewPCG / (*rand.Rand).Seed site the
-// seed expression must trace to one of:
+// At each simrand.New site — the simulation core's one generator — and
+// each rand.NewSource / rand.NewPCG / (*rand.Rand).Seed site the seed
+// expression must trace to one of:
 //
 //   - a fleet.SplitSeed call,
 //   - a config field or function parameter (the caller already derived
@@ -100,10 +101,19 @@ func checkSeedFlowFunc(pass *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if path := pkgPathOf(pass.Info, sel.X); path == "math/rand" || path == "math/rand/v2" {
+		path := pkgPathOf(pass.Info, sel.X)
+		if path == "math/rand" || path == "math/rand/v2" {
 			if seedConstructors[sel.Sel.Name] {
 				for _, arg := range call.Args {
-					checkSeedExpr(pass, arg, assigns, sel.Sel.Name)
+					checkSeedExpr(pass, arg, assigns, "rand."+sel.Sel.Name)
+				}
+			}
+			return true
+		}
+		if IsSimrandPackage(path) {
+			if sel.Sel.Name == "New" {
+				for _, arg := range call.Args {
+					checkSeedExpr(pass, arg, assigns, "simrand.New")
 				}
 			}
 			return true
@@ -115,7 +125,7 @@ func checkSeedFlowFunc(pass *Pass, fd *ast.FuncDecl) {
 					if named, ok := ptr.Elem().(*types.Named); ok &&
 						named.Obj().Name() == "Rand" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "math/rand" {
 						for _, arg := range call.Args {
-							checkSeedExpr(pass, arg, assigns, "Seed")
+							checkSeedExpr(pass, arg, assigns, "rand.Seed")
 						}
 					}
 				}
@@ -130,7 +140,7 @@ func checkSeedFlowFunc(pass *Pass, fd *ast.FuncDecl) {
 func checkSeedExpr(pass *Pass, seed ast.Expr, assigns map[types.Object]ast.Expr, site string) {
 	if why, bad := badSeed(pass, seed, assigns, map[types.Object]bool{}); bad {
 		pass.Report(seed.Pos(), fmt.Sprintf(
-			"seedflow: rand.%s seed %s; derive it with fleet.SplitSeed(base, domain, index) so sibling streams stay uncorrelated", site, why))
+			"seedflow: %s seed %s; derive it with fleet.SplitSeed(base, domain, index) so sibling streams stay uncorrelated", site, why))
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package fault is a seedflow fixture: RNG constructions in the
-// simulation core must derive their seed through fleet.SplitSeed (or
-// receive one already derived via a field or parameter); literal seeds
-// and hand-rolled arithmetic are flagged.
+// simulation core — simrand.New, and math/rand's constructors — must
+// derive their seed through fleet.SplitSeed (or receive one already
+// derived via a field or parameter); literal seeds and hand-rolled
+// arithmetic are flagged.
 package fault
 
 import (
 	"math/rand"
 
 	"sim/internal/fleet"
+	"sim/internal/simrand"
 )
 
 // Config carries the campaign seed.
@@ -73,4 +75,41 @@ func GoodStaleAllow(seed int64) *rand.Rand {
 	// want "stale //detlint:allow seedflow"
 	//detlint:allow seedflow seeds here are already derived
 	return rand.New(rand.NewSource(seed))
+}
+
+// GoodSim derives a simrand seed through SplitSeed at the call site.
+func GoodSim(cfg Config, attempt int) *simrand.Rand {
+	return simrand.New(fleet.SplitSeed(cfg.Seed, "fault/session", attempt))
+}
+
+// GoodSimVia routes the derived seed through a local.
+func GoodSimVia(cfg Config, i int) *simrand.Rand {
+	base := fleet.SplitSeed(cfg.Seed, "fault/ue", i)
+	return simrand.New(base)
+}
+
+// GoodSimField trusts a config field: the campaign already derived it.
+func GoodSimField(cfg Config) *simrand.Rand {
+	return simrand.New(cfg.Seed)
+}
+
+// BadSimLiteral seeds simrand with a constant.
+func BadSimLiteral() *simrand.Rand {
+	return simrand.New(42) // want "seedflow: simrand.New seed is a constant"
+}
+
+// BadSimArith hand-rolls sibling derivation for simrand.
+func BadSimArith(seed int64, i int) *simrand.Rand {
+	return simrand.New(seed + int64(i)) // want "seedflow: simrand.New seed is derived with raw \+ arithmetic"
+}
+
+// BadSimVia traces a local back to raw arithmetic.
+func BadSimVia(seed int64) *simrand.Rand {
+	derived := seed << 3
+	return simrand.New(derived) // want "seedflow: simrand.New seed \(via derived\) is derived with raw << arithmetic"
+}
+
+// AllowedSimFixed keeps a fixed probe stream behind a reviewed allow.
+func AllowedSimFixed() *simrand.Rand {
+	return simrand.New(1) //detlint:allow seedflow fixture: fixed conformance probe stream
 }

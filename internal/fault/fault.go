@@ -20,9 +20,9 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"github.com/midband5g/midband/internal/fleet"
+	"github.com/midband5g/midband/internal/simrand"
 )
 
 // ErrInjectedIO is the error surfaced by [Writer] when the schedule
@@ -171,7 +171,7 @@ func (s *Schedule) Session(key string, attempt int) *Session {
 		return nil
 	}
 	base := fleet.SplitSeed(s.cfg.Seed, "fault/session/"+key, attempt)
-	rng := rand.New(rand.NewSource(base))
+	rng := simrand.New(base)
 	f := &Session{cfg: s.cfg, base: base}
 	// Fixed draw order — inserting a new decision class must append
 	// draws, never reorder them, or every existing fault plan shifts.
@@ -181,7 +181,7 @@ func (s *Schedule) Session(key string, attempt int) *Session {
 	// cannot dodge them.
 	abortRng := rng
 	if attempt != 0 {
-		abortRng = rand.New(rand.NewSource(fleet.SplitSeed(s.cfg.Seed, "fault/session/"+key, 0)))
+		abortRng = simrand.New(fleet.SplitSeed(s.cfg.Seed, "fault/session/"+key, 0))
 		abortRng.Float64() // skip the panic draw
 		f.AbortFraction = 0.10 + 0.80*abortRng.Float64()
 	}
@@ -253,7 +253,7 @@ type RLF struct {
 
 // RLFState is the per-carrier RLF process. Not safe for concurrent use.
 type RLFState struct {
-	rng  *rand.Rand
+	rng  *simrand.Rand
 	prob float64
 	// ReestablishSlots is the configured interruption length.
 	ReestablishSlots int
@@ -265,7 +265,7 @@ func NewRLFState(cfg *RLF) *RLFState {
 		return nil
 	}
 	return &RLFState{
-		rng:              rand.New(rand.NewSource(cfg.Seed)),
+		rng:              simrand.New(cfg.Seed),
 		prob:             cfg.ProbPerSlot,
 		ReestablishSlots: cfg.ReestablishSlots,
 	}
@@ -290,7 +290,7 @@ type Blackout struct {
 // BlackoutState is the per-channel blackout process. Not safe for
 // concurrent use.
 type BlackoutState struct {
-	rng      *rand.Rand
+	rng      *simrand.Rand
 	prob     float64
 	duration int
 	depthDB  float64
@@ -303,7 +303,7 @@ func NewBlackoutState(cfg *Blackout) *BlackoutState {
 		return nil
 	}
 	return &BlackoutState{
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      simrand.New(cfg.Seed),
 		prob:     cfg.ProbPerSlot,
 		duration: cfg.DurationSlots,
 		depthDB:  cfg.DepthDB,

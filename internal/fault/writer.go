@@ -2,7 +2,8 @@ package fault
 
 import (
 	"io"
-	"math/rand"
+
+	"github.com/midband5g/midband/internal/simrand"
 )
 
 // ioWriter aliases io.Writer so fault.go stays import-light.
@@ -16,14 +17,14 @@ type ioWriter = io.Writer
 // capture.
 type Writer struct {
 	w    io.Writer
-	rng  *rand.Rand
+	rng  *simrand.Rand
 	prob float64
 	err  error
 }
 
 // NewWriter builds the injecting writer.
 func NewWriter(w io.Writer, prob float64, seed int64) *Writer {
-	return &Writer{w: w, rng: rand.New(rand.NewSource(seed)), prob: prob}
+	return &Writer{w: w, rng: simrand.New(seed), prob: prob}
 }
 
 // Write implements io.Writer.

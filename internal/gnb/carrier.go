@@ -9,7 +9,6 @@ package gnb
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"github.com/midband5g/midband/internal/channel"
@@ -17,6 +16,7 @@ import (
 	"github.com/midband5g/midband/internal/fleet"
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
+	"github.com/midband5g/midband/internal/simrand"
 	"github.com/midband5g/midband/internal/tdd"
 	"github.com/midband5g/midband/internal/ue"
 )
@@ -227,7 +227,7 @@ type Carrier struct {
 	cfg  CarrierConfig
 	ch   *channel.Channel
 	csi  *ue.CSI
-	rng  *rand.Rand
+	rng  *simrand.Rand
 	slot int64
 
 	ollaDB  float64
@@ -283,7 +283,7 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 		cfg:     cfg,
 		ch:      ch,
 		csi:     csi,
-		rng:     rand.New(rand.NewSource(fleet.SplitSeed(cfg.Seed, "gnb/sched", 0))),
+		rng:     simrand.New(fleet.SplitSeed(cfg.Seed, "gnb/sched", 0)),
 		serving: -1,
 		slotDur: cfg.Numerology.SlotDuration(),
 		rlf:     fault.NewRLFState(cfg.Fault),
@@ -423,11 +423,9 @@ func (c *Carrier) transmit(store *Alloc, queue *[]harqJob, slot int64, symbols i
 	if outage {
 		return nil // nothing schedulable without a link
 	}
-	job, ok := popReady(queue, slot)
-	if !ok {
-		if job, ok = c.newTB(slot, symbols, share, report, uplink); !ok {
-			return nil
-		}
+	var job harqJob
+	if !popReady(&job, queue, slot) && !c.newTB(&job, slot, symbols, share, report, uplink) {
+		return nil
 	}
 	olla := &c.ollaDB
 	if uplink {
@@ -445,11 +443,11 @@ func (c *Carrier) transmit(store *Alloc, queue *[]harqJob, slot int64, symbols i
 	return store
 }
 
-// newTB builds a fresh transport block from the CSI in effect. It
+// newTB writes to dst a fresh transport block from the CSI in effect. It
 // reports false when nothing can be sent, a TB of zero bits included.
 //
 //detlint:zeroalloc
-func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report, uplink bool) (harqJob, bool) {
+func (c *Carrier) newTB(dst *harqJob, slot int64, symbols int, share float64, report ue.Report, uplink bool) bool {
 	rank := report.RI
 	cqi := report.CQI
 	// Vendor CQI→MCS mapping: match the reported spectral efficiency,
@@ -458,7 +456,7 @@ func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report
 	// CSI table cannot look up.
 	eff := c.tb.cqiEff(cqi)
 	if rank < 1 || eff == 0 {
-		return harqJob{}, false
+		return false
 	}
 
 	var mcs uint8
@@ -496,8 +494,7 @@ func (c *Carrier) newTB(slot int64, symbols int, share float64, report ue.Report
 	}
 
 	// Near-maximum RB allocation with scheduler jitter (Fig. 4).
-	job, ok := c.tb.size(slot, symbols, c.tb.jitterRBs(share, c.rng.Float64()), mcs, rank)
-	return job, ok && job.tbs > 0
+	return c.tb.size(dst, slot, symbols, c.tb.jitterRBs(share, c.rng.Float64()), mcs, rank) && dst.tbs > 0
 }
 
 // ulEfficiency is the UL spectral efficiency behind a DL report of
@@ -511,17 +508,19 @@ func (c *Carrier) ulEfficiency(eff float64, dlRank, rank int) float64 {
 	return math.Log2(1+perLayerLin) * c.tb.ulBackoffLin
 }
 
+// popReady moves the first RTT-ready job of queue to dst.
+//
 //detlint:zeroalloc
-func popReady(queue *[]harqJob, slot int64) (harqJob, bool) {
+func popReady(dst *harqJob, queue *[]harqJob, slot int64) bool {
 	q := *queue
 	for i := range q {
 		if q[i].readySlot <= slot {
-			j := q[i]
+			*dst = q[i]
 			*queue = append(q[:i], q[i+1:]...)
-			return j, true
+			return true
 		}
 	}
-	return harqJob{}, false
+	return false
 }
 
 // TheoreticalMaxMbps returns the TS 38.306 bound for this carrier,

@@ -2,13 +2,13 @@ package gnb
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/midband5g/midband/internal/channel"
 	"github.com/midband5g/midband/internal/fleet"
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
+	"github.com/midband5g/midband/internal/simrand"
 	"github.com/midband5g/midband/internal/ue"
 )
 
@@ -114,7 +114,7 @@ func (c CellConfig) Validate() error {
 type cellUE struct {
 	ch   *channel.Channel // adopted by Cell.chb: step it only through the batch
 	csi  *ue.CSI
-	rng  *rand.Rand
+	rng  *simrand.Rand
 	harq []harqJob
 	buf  ue.Buffer
 }
@@ -239,7 +239,7 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 		cell.ues = append(cell.ues, &cellUE{
 			ch:  ch,
 			csi: csi,
-			rng: rand.New(rand.NewSource(fleet.SplitSeed(cfg.Seed, "gnb/cell/ue", i))),
+			rng: simrand.New(fleet.SplitSeed(cfg.Seed, "gnb/cell/ue", i)),
 			buf: ue.NewBuffer(offered, cell.slotDur),
 		})
 	}
@@ -402,13 +402,10 @@ func (c *Cell) scheduleShare(slot int64, dlSym int) []UEAlloc {
 
 	allocs := c.allocs[:0]
 	for _, g := range grants {
-		alloc, ok := c.transmitUE(slot, g.idx, dlSym, g.frac)
-		if !ok {
-			continue
+		allocs = c.nextAlloc(allocs, g.idx)
+		if !c.transmitUE(&allocs[len(allocs)-1].Alloc, slot, g.idx, dlSym, g.frac) {
+			allocs = allocs[:len(allocs)-1]
 		}
-		allocs = append(allocs, UEAlloc{
-			UE: g.idx, Alloc: alloc, SINRdB: c.sinr[g.idx], CQI: c.cqi[g.idx],
-		})
 	}
 	return allocs
 }
@@ -490,28 +487,28 @@ func (c *Cell) updatePFWindow(allocs []UEAlloc) {
 // transmitUE schedules one TB for a UE with the given RB fraction at
 // this slot's sensed CQI, rank and SINR, through the chain Carrier.transmit
 // runs (without HARQ — the share model's Fig. 14 questions need none; the
-// contention model has it).
+// contention model has it), and writes its Alloc to dst. It reports
+// false, with dst left as it was, when no TB can be sized.
 //
 //detlint:zeroalloc
-func (c *Cell) transmitUE(slot int64, idx, symbols int, frac float64) (Alloc, bool) {
+func (c *Cell) transmitUE(dst *Alloc, slot int64, idx, symbols int, frac float64) bool {
 	u := c.ues[idx]
 	cqi, rank := c.cqi[idx], c.ri[idx]
 	if c.tb.cqiEff(cqi) == 0 {
-		return Alloc{}, false
+		return false
 	}
 	mcs := c.tb.mcsPick.pick(cqi, c.olla[idx])
-	job, ok := c.tb.size(slot, symbols, c.tb.jitterRBs(frac, u.rng.Float64()), mcs, rank)
-	if !ok {
-		return Alloc{}, false
+	var job harqJob
+	if !c.tb.size(&job, slot, symbols, c.tb.jitterRBs(frac, u.rng.Float64()), mcs, rank) {
+		return false
 	}
 	ack := c.tb.decode(u.rng.Float64(), &job, c.sinr[idx], &c.olla[idx])
 	delivered := 0
 	if ack {
 		delivered = job.tbs
 	}
-	var a Alloc
-	c.tb.alloc(&a, &job, ack, delivered)
-	return a, true
+	c.tb.alloc(dst, &job, ack, delivered)
+	return true
 }
 
 // Config returns the cell's effective configuration, with carrier and

@@ -3,11 +3,13 @@ package gnb
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/midband5g/midband/internal/channel"
 	"github.com/midband5g/midband/internal/fault"
+	"github.com/midband5g/midband/internal/fleet"
 	"github.com/midband5g/midband/internal/ue"
 )
 
@@ -20,7 +22,9 @@ import (
 // Channel.SetNeighborLoad), never through the cell's channel.Batch, so
 // the comparison also covers the batch's fast and fallback lanes. It
 // shares only the leaf helpers (TB sizing, decode, HARQ queue, PF
-// window) with production.
+// window) with production. Its decode draws come from its own math/rand
+// streams, seeded as NewCell seeds each UE's generator, so the lockstep
+// also pins internal/simrand to math/rand's streams.
 
 // ueState is one UE's per-slot scheduling input on the oracle path.
 type ueState struct {
@@ -38,6 +42,21 @@ type contentionOracle struct {
 	*Cell
 	states []ueState
 	ready  []ueState
+	rngs   []*rand.Rand // per-UE decode streams
+}
+
+// deliver is Cell.deliver drawing the decode from the oracle's own
+// stream for the UE.
+func (c *contentionOracle) deliver(dst *Alloc, slot int64, idx int, job harqJob, sinrDB float64) {
+	u := c.ues[idx]
+	ack := c.tb.decode(c.rngs[idx].Float64(), &job, sinrDB, &c.olla[idx])
+	delivered := 0
+	if ack {
+		delivered = u.buf.Drain(job.tbs)
+	} else if r, ok := c.tb.retry(&job, slot); ok {
+		u.harq = append(u.harq, r)
+	}
+	c.tb.alloc(dst, &job, ack, delivered)
 }
 
 // stepContention is the scalar contention slot, as Cell.Step ran it
@@ -92,8 +111,8 @@ func (c *contentionOracle) stepContention() CellSlot {
 		if states[i].sample.Outage {
 			continue
 		}
-		job, ok := popReadyFit(&u.harq, slot, budget)
-		if !ok {
+		var job harqJob
+		if !popReadyFit(&job, &u.harq, slot, budget) {
 			continue
 		}
 		budget -= job.rbs
@@ -206,8 +225,8 @@ func (c *contentionOracle) stepContention() CellSlot {
 			if rbs < 1 {
 				continue
 			}
-			job, ok := c.newContentionTB(slot, st.idx, st.report, dlSym, rbs)
-			if !ok {
+			var job harqJob
+			if !c.newContentionTB(&job, slot, st.idx, st.report, dlSym, rbs) {
 				continue
 			}
 			var a Alloc
@@ -254,7 +273,11 @@ func lockstepCells(t *testing.T, cfg CellConfig) (*Cell, *contentionOracle) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cell, &contentionOracle{Cell: ref}
+	rngs := make([]*rand.Rand, len(cfg.UEs))
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(fleet.SplitSeed(cfg.Seed, "gnb/cell/ue", i)))
+	}
+	return cell, &contentionOracle{Cell: ref, rngs: rngs}
 }
 
 // assertSlotEqual compares one slot's outcome bit-for-bit: the alloc

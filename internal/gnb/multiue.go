@@ -101,14 +101,14 @@ func (c *Cell) scheduleContention(slot int64, dlSym int) []UEAlloc {
 		if c.outage[i] {
 			continue
 		}
-		job, ok := popReadyFit(&u.harq, slot, budget)
-		if !ok {
+		var job harqJob
+		if !popReadyFit(&job, &u.harq, slot, budget) {
 			continue
 		}
 		budget -= job.rbs
 		sched[i] = true
-		allocs = append(allocs, UEAlloc{UE: i, SINRdB: c.sinr[i], CQI: c.cqi[i]})
-		c.deliver(&allocs[len(allocs)-1].Alloc, slot, i, job, c.sinr[i])
+		allocs = c.nextAlloc(allocs, i)
+		c.deliver(&allocs[len(allocs)-1].Alloc, slot, i, &job, c.sinr[i])
 	}
 
 	// Fresh grants for the backlogged UEs that did not retransmit: order
@@ -202,13 +202,28 @@ func (c *Cell) scheduleContention(slot int64, dlSym int) []UEAlloc {
 			continue
 		}
 		rep := ue.Report{CQI: c.cqi[idx], RI: c.ri[idx]}
-		job, ok := c.newContentionTB(slot, idx, rep, dlSym, rbs)
-		if !ok {
+		var job harqJob
+		if !c.newContentionTB(&job, slot, idx, rep, dlSym, rbs) {
 			continue
 		}
-		allocs = append(allocs, UEAlloc{UE: idx, SINRdB: c.sinr[idx], CQI: c.cqi[idx]})
-		c.deliver(&allocs[len(allocs)-1].Alloc, slot, idx, job, c.sinr[idx])
+		allocs = c.nextAlloc(allocs, idx)
+		c.deliver(&allocs[len(allocs)-1].Alloc, slot, idx, &job, c.sinr[idx])
 	}
+	return allocs
+}
+
+// nextAlloc extends allocs by one entry for UE idx, filling its UE, SINR
+// and CQI in place (deliver writes its Alloc). Each UE is scheduled at
+// most once per slot, so allocs never outgrows its capacity, the UE
+// count.
+//
+//detlint:zeroalloc
+func (c *Cell) nextAlloc(allocs []UEAlloc, idx int) []UEAlloc {
+	allocs = allocs[:len(allocs)+1]
+	a := &allocs[len(allocs)-1]
+	a.UE = idx
+	a.SINRdB = c.sinr[idx]
+	a.CQI = c.cqi[idx]
 	return allocs
 }
 
@@ -230,34 +245,33 @@ func (c *Cell) coupleLoad(slot int64, allocs []UEAlloc) {
 	}
 }
 
-// newContentionTB sizes a fresh transport block for an integer RB grant
-// through the share model's CQI→efficiency→OLLA→MCS chain (no RB jitter:
-// the scheduler's split already decides the exact footprint).
+// newContentionTB writes to dst a fresh transport block for an integer
+// RB grant, sized through the share model's CQI→efficiency→OLLA→MCS chain
+// (no RB jitter: the scheduler's split already decides the exact
+// footprint).
 //
 //detlint:zeroalloc
-func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, rbs int) (harqJob, bool) {
+func (c *Cell) newContentionTB(dst *harqJob, slot int64, idx int, report ue.Report, symbols, rbs int) bool {
 	u := c.ues[idx]
 	if c.tb.cqiEff(report.CQI) == 0 {
-		return harqJob{}, false
+		return false
 	}
 	mcs := c.tb.mcsPick.pick(report.CQI, c.olla[idx])
-	job, ok := c.tb.size(slot, symbols, rbs, mcs, report.RI)
-	if !ok {
-		return harqJob{}, false
+	if !c.tb.size(dst, slot, symbols, rbs, mcs, report.RI) {
+		return false
 	}
 	// A finite-traffic UE does not need its whole policy share for the
 	// last TB of a burst: shrink the grant to the backlog (BSR-style),
 	// leaving the unused RBs idle this slot — which is exactly the
-	// load-dependent utilization the coupling below mirrors out.
-	if need := u.buf.BacklogBits(); !u.buf.Full() && need < float64(job.tbs) && rbs > 1 {
-		shrunk := max(1, int(math.Ceil(float64(rbs)*need/float64(job.tbs))))
+	// load-dependent utilization the coupling below mirrors out. A shrunk
+	// size that fails leaves dst as the full grant's TB.
+	if need := u.buf.BacklogBits(); !u.buf.Full() && need < float64(dst.tbs) && rbs > 1 {
+		shrunk := max(1, int(math.Ceil(float64(rbs)*need/float64(dst.tbs))))
 		if shrunk < rbs {
-			if j, ok := c.tb.size(slot, symbols, shrunk, mcs, report.RI); ok {
-				job = j
-			}
+			c.tb.size(dst, slot, symbols, shrunk, mcs, report.RI)
 		}
 	}
-	return job, true
+	return true
 }
 
 // deliver decodes one TB (fresh or retransmission) at the UE's current
@@ -265,34 +279,34 @@ func (c *Cell) newContentionTB(slot int64, idx int, report ue.Report, symbols, r
 // writes its Alloc to dst.
 //
 //detlint:zeroalloc
-func (c *Cell) deliver(dst *Alloc, slot int64, idx int, job harqJob, sinrDB float64) {
+func (c *Cell) deliver(dst *Alloc, slot int64, idx int, job *harqJob, sinrDB float64) {
 	u := c.ues[idx]
-	ack := c.tb.decode(u.rng.Float64(), &job, sinrDB, &c.olla[idx])
+	ack := c.tb.decode(u.rng.Float64(), job, sinrDB, &c.olla[idx])
 	delivered := 0
 	if ack {
 		delivered = u.buf.Drain(job.tbs)
-	} else if r, ok := c.tb.retry(&job, slot); ok {
+	} else if r, ok := c.tb.retry(job, slot); ok {
 		u.harq = append(u.harq, r)
 	}
-	c.tb.alloc(dst, &job, ack, delivered)
+	c.tb.alloc(dst, job, ack, delivered)
 }
 
-// popReadyFit pops the first queued job that is both RTT-ready and fits
-// the remaining RB budget. Jobs too large for this slot's leftovers stay
-// queued — next slot's budget starts fresh at NRB, so they always fit
-// eventually (rbs ≤ NRB by construction).
+// popReadyFit moves to dst the first queued job that is both RTT-ready
+// and fits the remaining RB budget. Jobs too large for this slot's
+// leftovers stay queued — next slot's budget starts fresh at NRB, so they
+// always fit eventually (rbs ≤ NRB by construction).
 //
 //detlint:zeroalloc
-func popReadyFit(queue *[]harqJob, slot int64, maxRBs int) (harqJob, bool) {
+func popReadyFit(dst *harqJob, queue *[]harqJob, slot int64, maxRBs int) bool {
 	q := *queue
 	for i := range q {
 		if q[i].readySlot <= slot && q[i].rbs <= maxRBs {
-			j := q[i]
+			*dst = q[i]
 			*queue = append(q[:i], q[i+1:]...)
-			return j, true
+			return true
 		}
 	}
-	return harqJob{}, false
+	return false
 }
 
 // LoadEMA returns the smoothed RB-utilization the load coupling mirrors

@@ -160,21 +160,29 @@ func (p *tbPath) jitterRBs(share, draw float64) int {
 	return max(1, int(float64(p.cfg.NRB)*share*(1-p.cfg.RBJitterFrac*draw)))
 }
 
-// size builds a fresh TB of rbs RBs at mcs and rank for a slot with the
-// given data symbols. It fails where the TBS cannot be looked up (no MCS
-// row, symbols, RBs or layers out of range).
+// size writes to dst a fresh TB of rbs RBs at mcs and rank for a slot
+// with the given data symbols. It fails, leaving dst untouched, where
+// the TBS cannot be looked up (no MCS row, symbols, RBs or layers out of
+// range).
 //
 //detlint:zeroalloc
-func (p *tbPath) size(slot int64, symbols, rbs int, mcs uint8, rank int) (harqJob, bool) {
+func (p *tbPath) size(dst *harqJob, slot int64, symbols, rbs int, mcs uint8, rank int) bool {
 	tbs, err := p.tbs.TBS(symbols, rbs, mcs, rank)
 	if err != nil {
-		return harqJob{}, false
+		return false
 	}
 	// REs for the trace record (MCS does not enter the RE count). The
 	// cache clamps DMRS to the REs of the symbols; REs floors the per-PRB
 	// count at 0, which gives the same count unclamped.
 	params := phy.TBSParams{Symbols: symbols, DMRSPerPRB: p.cfg.DMRSPerPRB, PRBs: rbs, Layers: rank}
-	return harqJob{readySlot: slot, rank: rank, rbs: rbs, res: params.REs(), tbs: tbs, mcs: mcs}, true
+	dst.readySlot = slot
+	dst.rank = rank
+	dst.rbs = rbs
+	dst.res = params.REs()
+	dst.tbs = tbs
+	dst.retx = 0
+	dst.mcs = mcs
+	return true
 }
 
 // decode reports whether job decodes for the uniform draw at the current
@@ -217,10 +225,10 @@ func (p *tbPath) retry(job *harqJob, slot int64) (harqJob, bool) {
 	return r, true
 }
 
-// alloc writes job's Alloc with its decode outcome to dst and records the
-// TB metrics. Observability only: recorded after every scheduling
-// decision is final and never read back, so metrics cannot perturb the
-// simulation.
+// alloc writes job's Alloc with its decode outcome to dst, every field,
+// and records the TB metrics. Observability only: recorded after every
+// scheduling decision is final and never read back, so metrics cannot
+// perturb the simulation.
 //
 //detlint:zeroalloc
 func (p *tbPath) alloc(dst *Alloc, job *harqJob, ack bool, delivered int) {
@@ -234,9 +242,16 @@ func (p *tbPath) alloc(dst *Alloc, job *harqJob, ack bool, delivered int) {
 			obs.Sim.TBNacks.Inc()
 		}
 	}
-	*dst = Alloc{
-		RBs: job.rbs, REs: job.res, Table: p.cfg.MCSTable, MCS: job.mcs,
-		Rank: job.rank, TBSBits: job.tbs, HARQRetx: job.retx, ACK: ack,
-		DeliveredBits: delivered,
-	}
+	// Field by field: a composite literal is built in a stack temporary
+	// with narrow stores and copied out with wide loads, which stalls
+	// store forwarding on this per-TB path.
+	dst.RBs = job.rbs
+	dst.REs = job.res
+	dst.Table = p.cfg.MCSTable
+	dst.MCS = job.mcs
+	dst.Rank = job.rank
+	dst.TBSBits = job.tbs
+	dst.HARQRetx = job.retx
+	dst.ACK = ack
+	dst.DeliveredBits = delivered
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/midband5g/midband/internal/channel"
 	"github.com/midband5g/midband/internal/phy"
+	"github.com/midband5g/midband/internal/simrand"
 	"github.com/midband5g/midband/internal/tdd"
 	"github.com/midband5g/midband/internal/ue"
 )
@@ -18,8 +19,10 @@ import (
 // their own copies of the per-carrier tables (refAMC is the old
 // amcDerived), so FuzzTBPath can replay generated slots through both and
 // compare every Alloc, OLLA offset, HARQ queue and RNG draw. The oracles
-// share only the leaf helpers (blerAck, ollaMCS, the TBS cache type)
-// with production; each has its own fuzz target.
+// draw from math/rand, production from internal/simrand, so the
+// comparison also pins simrand to math/rand's streams. The oracles share
+// only the leaf helpers (blerAck, ollaMCS, the TBS cache type) with
+// production; each has its own fuzz target.
 
 // refJob is the old harqJob layout.
 type refJob struct {
@@ -454,7 +457,7 @@ func refPopReadyFit(queue *[]refJob, slot int64, maxRBs int) (refJob, bool) {
 }
 
 // countSrc counts the values drawn from a random stream, so a test can
-// tell two streams apart by how many draws each consumed.
+// tell how far a reference stream has advanced.
 type countSrc struct {
 	src rand.Source64
 	n   int
@@ -467,6 +470,29 @@ func (s *countSrc) Seed(seed int64) { s.src.Seed(seed) }
 func countingRand(seed int64) (*rand.Rand, *countSrc) {
 	src := &countSrc{src: rand.NewSource(seed).(rand.Source64)}
 	return rand.New(src), src
+}
+
+// streamReplay is a simrand generator advanced, one raw draw at a time,
+// to the position a counted math/rand reference stream has reached.
+// Comparing it with the production generator checks that production
+// consumed exactly the reference's draws.
+type streamReplay struct {
+	r *simrand.Rand
+	n int
+}
+
+func newStreamReplay(seed int64) *streamReplay { return &streamReplay{r: simrand.New(seed)} }
+
+// check advances the replay to drawn raw draws and requires got, the
+// production generator, to hold the same state.
+func (s *streamReplay) check(t *testing.T, step int, got *simrand.Rand, drawn int) {
+	t.Helper()
+	for ; s.n < drawn; s.n++ {
+		s.r.Intn(1) // Int31n masks a power of two: exactly one raw draw
+	}
+	if *got != *s.r {
+		t.Fatalf("step %d: production stream is not where the reference's %d draws leave it", step, drawn)
+	}
 }
 
 // tbBytes hands out fuzz bytes, zero once exhausted.
@@ -598,16 +624,13 @@ func checkJobs(t *testing.T, step int, got []harqJob, want []refJob, table phy.M
 	}
 }
 
-func checkTBStep(t *testing.T, step int, got, want *Alloc, ollaGot, ollaWant float64, drawsGot, drawsWant int) {
+func checkTBStep(t *testing.T, step int, got, want *Alloc, ollaGot, ollaWant float64) {
 	t.Helper()
 	if (got == nil) != (want == nil) || got != nil && *got != *want {
 		t.Fatalf("step %d: alloc %+v, reference %+v", step, got, want)
 	}
 	if math.Float64bits(ollaGot) != math.Float64bits(ollaWant) {
 		t.Fatalf("step %d: OLLA offset %v, reference %v", step, ollaGot, ollaWant)
-	}
-	if drawsGot != drawsWant {
-		t.Fatalf("step %d: %d draws consumed, reference %d", step, drawsGot, drawsWant)
 	}
 }
 
@@ -639,8 +662,9 @@ func checkTBTables(t *testing.T, p *tbPath, ref *refTables) {
 // of three modes: a Carrier (DL and UL, with dither and HARQ), a
 // share-model Cell UE, or a contention-model Cell UE (HARQ first, then a
 // fresh TB on an integer grant, with an optional finite buffer). Every
-// slot's Alloc, OLLA offset, HARQ queue and number of draws consumed
-// must match bit for bit. The share reference never honoured
+// slot's Alloc, OLLA offset and HARQ queue must match bit for bit, and
+// the production generator must stand where a simrand replay of the
+// reference's counted draws stands. The share reference never honoured
 // DisableOLLA, so share mode runs with OLLA on.
 func FuzzTBPath(f *testing.F) {
 	f.Add(int64(1), uint8(tbModeCarrier), uint8(0), []byte{0, 245, 1, 128, 64, 100, 2, 200, 1, 11, 20, 2, 2, 10, 128, 90, 1}, []byte{0, 0x60, 0, 12, 3, 12, 255, 200})
@@ -676,9 +700,10 @@ func FuzzTBPath(f *testing.F) {
 			if c.ulEff != ref.ulEff || c.ulRank != ref.ulRank {
 				t.Fatal("UL link-adaptation tables differ from the reference")
 			}
-			var gotN, wantN *countSrc
-			c.rng, gotN = countingRand(seed)
+			var wantN *countSrc
+			c.rng = simrand.New(seed)
 			ref.rng, wantN = countingRand(seed)
+			replay := newStreamReplay(seed)
 			c.ollaDB = olla0
 			var refDL, refUL []refJob
 			var refStore Alloc
@@ -691,7 +716,8 @@ func FuzzTBPath(f *testing.F) {
 				}
 				got := c.transmit(store, queue, int64(i), st.symbols, st.share, rep, st.sinrDB, st.outage, st.uplink)
 				want := ref.transmit(&refStore, refQueue, int64(i), st.symbols, st.share, rep, st.sinrDB, st.outage, st.uplink)
-				checkTBStep(t, i, got, want, c.ollaDB, ref.ollaDB, gotN.n, wantN.n)
+				checkTBStep(t, i, got, want, c.ollaDB, ref.ollaDB)
+				replay.check(t, i, c.rng, wantN.n)
 				checkJobs(t, i, *queue, *refQueue, c.cfg.MCSTable)
 			}
 			return
@@ -716,9 +742,10 @@ func FuzzTBPath(f *testing.F) {
 			olla:      olla0,
 		}
 		checkTBTables(t, &cell.tb, ref.refTables)
-		var gotN, wantN *countSrc
-		u.rng, gotN = countingRand(seed)
+		var wantN *countSrc
+		u.rng = simrand.New(seed)
 		ref.rng, wantN = countingRand(seed)
+		replay := newStreamReplay(seed)
 		cell.olla[0] = olla0
 		for i := 0; len(s) > 0; i++ {
 			st := nextTBStep(&s, cfg.NRB)
@@ -727,7 +754,8 @@ func FuzzTBPath(f *testing.F) {
 			ref.cqi, ref.ri, ref.sinr = st.cqi, st.ri, st.sinrDB
 			var got, want *Alloc
 			if mode == tbModeShare {
-				g, gok := cell.transmitUE(slot, 0, st.symbols, st.share)
+				var g Alloc
+				gok := cell.transmitUE(&g, slot, 0, st.symbols, st.share)
 				w, wok := ref.transmitUE(st.symbols, st.share)
 				if gok {
 					got = &g
@@ -738,12 +766,11 @@ func FuzzTBPath(f *testing.F) {
 			} else {
 				u.buf.Arrive()
 				ref.buf.Arrive()
-				if job, ok := popReadyFit(&u.harq, slot, st.rbs); ok {
+				var job harqJob
+				if popReadyFit(&job, &u.harq, slot, st.rbs) ||
+					cell.newContentionTB(&job, slot, 0, ue.Report{CQI: st.cqi, RI: st.ri}, st.symbols, st.rbs) {
 					got = new(Alloc)
-					cell.deliver(got, slot, 0, job, st.sinrDB)
-				} else if job, ok := cell.newContentionTB(slot, 0, ue.Report{CQI: st.cqi, RI: st.ri}, st.symbols, st.rbs); ok {
-					got = new(Alloc)
-					cell.deliver(got, slot, 0, job, st.sinrDB)
+					cell.deliver(got, slot, 0, &job, st.sinrDB)
 				}
 				if job, ok := refPopReadyFit(&ref.harq, slot, st.rbs); ok {
 					if w, ok := ref.deliver(slot, job, st.sinrDB); ok {
@@ -758,7 +785,8 @@ func FuzzTBPath(f *testing.F) {
 					t.Fatalf("step %d: buffer %+v, reference %+v", i, u.buf, ref.buf)
 				}
 			}
-			checkTBStep(t, i, got, want, cell.olla[0], ref.olla, gotN.n, wantN.n)
+			checkTBStep(t, i, got, want, cell.olla[0], ref.olla)
+			replay.check(t, i, u.rng, wantN.n)
 			checkJobs(t, i, u.harq, ref.harq, cell.cfg.Carrier.MCSTable)
 		}
 	})

@@ -2,9 +2,9 @@ package net5g
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
+	"github.com/midband5g/midband/internal/simrand"
 	"github.com/midband5g/midband/internal/tdd"
 )
 
@@ -62,7 +62,7 @@ const dataTxSlots = 0.5
 // LatencyModel draws user-plane latency samples.
 type LatencyModel struct {
 	cfg LatencyConfig
-	rng *rand.Rand
+	rng *simrand.Rand
 	fdd bool
 }
 
@@ -76,7 +76,7 @@ func NewLatencyModel(cfg LatencyConfig) (*LatencyModel, error) {
 	}
 	return &LatencyModel{
 		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng: simrand.New(cfg.Seed),
 		fdd: cfg.Pattern.Period() == 0,
 	}, nil
 }

@@ -221,7 +221,7 @@ func (l *Link) StepInto(res *StepResult, d Demand) {
 	}
 	if l.anchor != nil && l.now >= l.lteTick {
 		l.lteTick += l.anchor.SlotDuration()
-		l.lteRes = l.anchor.Step(gnb.Demand{}, gnb.Demand{Active: lteUL, Share: d.Share}) //detlint:allow bufown anchor result cached for one step only; overwritten before the anchor re-steps
+		l.anchor.StepInto(&l.lteRes, gnb.Demand{}, gnb.Demand{Active: lteUL, Share: d.Share})
 		res.LTE = &l.lteRes
 		if ul := l.lteRes.UL; ul != nil {
 			res.ULBits += ul.DeliveredBits

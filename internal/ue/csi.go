@@ -7,10 +7,10 @@ package ue
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
+	"github.com/midband5g/midband/internal/simrand"
 )
 
 // CSIConfig parameterizes the feedback loop.
@@ -102,7 +102,7 @@ type Report struct {
 // mechanisms.
 type CSI struct {
 	cfg      CSIConfig
-	rng      *rand.Rand
+	rng      *simrand.Rand
 	lastRank int
 	pending  []Report // reports generated but not yet visible to the gNB
 	current  Report
@@ -117,7 +117,7 @@ func NewCSI(cfg CSIConfig) (*CSI, error) {
 	}
 	return &CSI{
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      simrand.New(cfg.Seed),
 		lastRank: 1,
 	}, nil
 }

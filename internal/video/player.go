@@ -191,9 +191,11 @@ func Play(link *net5g.Link, cfg SessionConfig) (*Result, error) {
 			sampleAcc, sampleSlots = 0, 0
 		}
 	}
-	// step advances the link one slot with the given demand.
+	// step advances the link one slot with the given demand, into one
+	// reused result.
+	var r net5g.StepResult
 	step := func(download bool) int {
-		r := link.Step(net5g.Demand{DL: download, Share: cfg.Share})
+		link.StepInto(&r, net5g.Demand{DL: download, Share: cfg.Share})
 		account(link.Now(), r.DLBits)
 		return r.DLBits
 	}
