@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/midband5g/midband/internal/experiments"
 	"github.com/midband5g/midband/internal/obs"
 )
 
@@ -144,7 +146,25 @@ func TestArtifactsByteIdentical(t *testing.T) {
 	}
 	// ReadManifest recomputes the config digest from the recorded config
 	// and fails on mismatch, so this line alone asserts digest stability.
-	if _, err := obs.ReadManifest(filepath.Join("..", "..", "results", "manifest.json")); err != nil {
-		t.Errorf("committed manifest no longer verifies: %v", err)
+	man, err := obs.ReadManifest(filepath.Join("..", "..", "results", "manifest.json"))
+	if err != nil {
+		t.Fatalf("committed manifest no longer verifies: %v", err)
+	}
+	// The manifest must come from a run of the whole plan as it stands:
+	// every arm of every figure is one job.
+	var cfg manifestConfig
+	if err := json.Unmarshal(man.Config, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Only != "" || cfg.Quick {
+		t.Fatalf("committed manifest records -only %q, -quick %v; want a full run", cfg.Only, cfg.Quick)
+	}
+	jobs := 0
+	for _, f := range figures(experiments.Options{Seed: cfg.Seed}, nil, nil, nil) {
+		jobs += f.arms
+	}
+	if man.JobsDone != int64(jobs) {
+		t.Errorf("committed manifest records %d jobs done, the full plan has %d: regenerate it with figures -seed %d -parallel 2 -csv results",
+			man.JobsDone, jobs, cfg.Seed)
 	}
 }

@@ -220,3 +220,51 @@ func assertContentionStepZeroAlloc(t *testing.T, cfg CellConfig) {
 			cfg.Policy, len(cfg.UEs), allocs)
 	}
 }
+
+// ollaPickInput is one OLLA-shifted MCS pick's arguments.
+type ollaPickInput struct {
+	cqi  phy.CQI
+	olla float64
+}
+
+var sinkMCS uint8
+
+// BenchmarkOLLAMCSPick replays the (CQI, OLLA offset) sequence a 64-UE
+// proportional-fair contention cell feeds the MCS pick: every fresh TB
+// of 2000 slots after warm-up, with the offset its UE held before the
+// slot's decode moved it. One op is one pick.
+func BenchmarkOLLAMCSPick(b *testing.B) {
+	cell, err := NewCell(CellConfig{
+		Carrier: benchCarrierConfig(),
+		UEs:     benchUEs(64),
+		Policy:  SchedulerProportionalFair,
+		Model:   CellModelContention,
+		Seed:    31,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < benchWarmSlots; i++ {
+		cell.Step()
+	}
+	var seq []ollaPickInput
+	olla := make([]float64, len(cell.olla))
+	for i := 0; i < 2000; i++ {
+		copy(olla, cell.olla)
+		for _, a := range cell.Step().Allocs {
+			if a.Alloc.HARQRetx == 0 {
+				seq = append(seq, ollaPickInput{a.CQI, olla[a.UE]})
+			}
+		}
+	}
+	if len(seq) == 0 {
+		b.Fatal("the cell scheduled no fresh TB")
+	}
+	o := cell.tb.mcsPick
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := &seq[i%len(seq)]
+		sinkMCS = o.pick(in.cqi, in.olla)
+	}
+}

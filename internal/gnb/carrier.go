@@ -224,11 +224,12 @@ var FullBuffer = Demand{Active: true, Share: 1}
 
 // Carrier is the per-carrier simulator. Not safe for concurrent use.
 type Carrier struct {
-	cfg  CarrierConfig
-	ch   *channel.Channel
-	csi  *ue.CSI
-	rng  *simrand.Rand
-	slot int64
+	cfg   CarrierConfig
+	ch    *channel.Channel
+	csi   *ue.CSI
+	rng   *simrand.Rand
+	slot  int64
+	phase int // slot's TDD-period phase, advanced with it (tbPath.symbolsAt)
 
 	ollaDB  float64
 	harqDL  []harqJob
@@ -244,8 +245,6 @@ type Carrier struct {
 
 	slotDur time.Duration
 	tb      tbPath // the transport-block chain and its per-carrier tables
-	// ulSymTab is ulSymbols per TDD-period phase (length 1 for FDD).
-	ulSymTab []int
 
 	// ulEff[cqi][dlRank] precomputes the UL link-adaptation chain (SRS
 	// reconstruction, power derate, layer re-split, backoff) for every
@@ -289,19 +288,6 @@ func NewCarrier(cfg CarrierConfig) (*Carrier, error) {
 		rlf:     fault.NewRLFState(cfg.Fault),
 	}
 	c.tb = newTBPath(&c.cfg, csi.Config())
-	// Precompute the per-slot UL symbol budget over one TDD period (FDD
-	// carriers are phase-invariant) so the slot path never touches the
-	// pattern parser.
-	if cfg.FDD {
-		c.ulSymTab = []int{phy.SymbolsPerSlot}
-	} else {
-		c.ulSymTab = make([]int, cfg.Pattern.Period())
-		for i := range c.ulSymTab {
-			if cfg.Pattern.Slot(int64(i)) == tdd.Uplink {
-				c.ulSymTab[i] = phy.SymbolsPerSlot
-			}
-		}
-	}
 	// Precompute the UL link-adaptation chain for the reportable CQI and
 	// rank grid (see the field comment; newTB falls back to the inline
 	// expressions outside this grid).
@@ -335,14 +321,7 @@ func (c *Carrier) Slot() int64 { return c.slot }
 func (c *Carrier) RLFs() int64 { return c.rlfCount }
 
 // SlotDuration returns the slot length.
-func (c *Carrier) SlotDuration() time.Duration { return c.cfg.Numerology.SlotDuration() }
-
-// ulSymbols returns the UL data symbols available in the slot. Special-slot
-// UL symbols are too few for PUSCH data and are reserved for control, so
-// only full UL slots count (matching commercial mid-band behaviour).
-func (c *Carrier) ulSymbols(slot int64) int {
-	return c.ulSymTab[slot%int64(len(c.ulSymTab))]
-}
+func (c *Carrier) SlotDuration() time.Duration { return c.slotDur }
 
 // ulBackoffDB is the fixed UL link-adaptation backoff (see newTB).
 const ulBackoffDB = 1.0
@@ -370,6 +349,7 @@ func (c *Carrier) SetRSRQNeeded(bool) {}
 func (c *Carrier) StepInto(res *SlotResult, dl, ul Demand) {
 	slot := c.slot
 	c.slot++
+	sym := c.tb.symbolsAt(&c.phase)
 	res.Slot = slot
 	res.Time = time.Duration(slot) * c.slotDur
 	res.DL, res.UL = nil, nil
@@ -406,11 +386,11 @@ func (c *Carrier) StepInto(res *SlotResult, dl, ul Demand) {
 		return
 	}
 
-	if sym := c.tb.dlSymbols(slot); sym > 0 && dl.Active && dl.Share > 0 {
-		res.DL = c.transmit(&c.dlAlloc, &c.harqDL, slot, sym, dl.Share, report, res.Sample.SINRdB, res.Sample.Outage, false)
+	if sym.dl > 0 && dl.Active && dl.Share > 0 {
+		res.DL = c.transmit(&c.dlAlloc, &c.harqDL, slot, sym.dl, dl.Share, report, res.Sample.SINRdB, res.Sample.Outage, false)
 	}
-	if sym := c.ulSymbols(slot); sym > 0 && ul.Active && ul.Share > 0 {
-		res.UL = c.transmit(&c.ulAlloc, &c.harqUL, slot, sym, ul.Share, report, res.Sample.SINRdB, res.Sample.Outage, true)
+	if sym.ul > 0 && ul.Active && ul.Share > 0 {
+		res.UL = c.transmit(&c.ulAlloc, &c.harqUL, slot, sym.ul, ul.Share, report, res.Sample.SINRdB, res.Sample.Outage, true)
 	}
 }
 

@@ -134,10 +134,11 @@ type pfScore struct {
 // Cell simulates one carrier shared by several UEs. Not safe for
 // concurrent use.
 type Cell struct {
-	cfg  CellConfig
-	ues  []*cellUE
-	chb  *channel.Batch
-	slot int64
+	cfg   CellConfig
+	ues   []*cellUE
+	chb   *channel.Batch
+	slot  int64
+	phase int // slot's TDD-period phase, advanced with it (tbPath.symbolsAt)
 
 	// Per-UE structure-of-arrays state, index-matched with ues. The
 	// schedulers read these in tight loops over the whole population, so
@@ -292,10 +293,10 @@ func NewCell(cfg CellConfig) (*Cell, error) {
 func (c *Cell) Step() CellSlot {
 	slot := c.slot
 	c.slot++
+	dlSym := c.tb.symbolsAt(&c.phase).dl
 	res := CellSlot{Slot: slot, Time: time.Duration(slot) * c.slotDur}
 	c.sense(slot)
 
-	dlSym := c.tb.dlSymbols(slot)
 	if dlSym == 0 {
 		return res
 	}

@@ -88,7 +88,7 @@ func (c *contentionOracle) stepContention() CellSlot {
 	}
 	c.states = states
 
-	dlSym := c.tb.dlSymbols(slot)
+	dlSym := referenceSlotSymbols(&c.cfg.Carrier, slot).dl
 	if dlSym == 0 {
 		return res
 	}

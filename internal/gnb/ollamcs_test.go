@@ -49,11 +49,18 @@ var (
 	ollaCQITables = []phy.CQITable{phy.CQITable64QAM, phy.CQITable256QAM}
 )
 
+// ollaBucketEdge is the lower edge of bucket b of the index (b =
+// ollaBuckets is the upper edge of the last bucket).
+func ollaBucketEdge(b int) float64 {
+	return ollaLoDB + float64(b)/ollaBucketsPerDB
+}
+
 // TestOLLAMCSThresholdEdges walks every threshold of the four table pairs:
 // the threshold itself and its float neighbours, both margin edges and
-// their neighbours, and points a little further out, plus the offsets
-// the OLLA loop actually visits, NaN and ±Inf for every CQI (0 included)
-// and an unknown CQI table.
+// their neighbours, and points a little further out; every bucket edge
+// of the index and its float neighbours to 4 ulps; plus the offsets the
+// OLLA loop actually visits, NaN and ±Inf for every CQI (0 included) and
+// an unknown CQI table.
 func TestOLLAMCSThresholdEdges(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -6, 3, -1e3, 1e3, 1e300, -1e300}
 	for olla := -6.0; olla <= 3; olla += 0.05 {
@@ -64,6 +71,11 @@ func TestOLLAMCSThresholdEdges(t *testing.T) {
 			for cqi := phy.CQI(0); cqi <= phy.MaxCQI; cqi++ {
 				for _, olla := range specials {
 					checkOLLAMCS(t, mt, ct, cqi, olla)
+				}
+				for b := 0; b <= ollaBuckets; b++ {
+					for k := -4; k <= 4; k++ {
+						checkOLLAMCS(t, mt, ct, cqi, nudge(ollaBucketEdge(b), k))
+					}
 				}
 				if cqi == 0 {
 					continue
@@ -94,27 +106,71 @@ func TestOLLAMCSThresholdEdges(t *testing.T) {
 	}
 }
 
+// TestOLLAMCSTable1Gap checks the pick inside Table 1's non-monotone gap,
+// where the CQI's shifted efficiency lies in [2.5664, 2.5703): MCS 17 is
+// within reach there but MCS 16 is not, so the mapping, and the pick,
+// stop at 15. Every CQI whose gap meets the offset range is checked at
+// points across it, through the index and the scan.
+func TestOLLAMCSTable1Gap(t *testing.T) {
+	checked := 0
+	for _, ct := range ollaCQITables {
+		for cqi := phy.CQI(1); cqi <= phy.MaxCQI; cqi++ {
+			lo := ollaThreshold(phy.MCSTable64QAM, ct, cqi, 17)
+			hi := ollaThreshold(phy.MCSTable64QAM, ct, cqi, 16)
+			for k := 1; k < 16; k++ {
+				olla := lo + (hi-lo)*float64(k)/16
+				if olla < ollaLoDB || olla > ollaHiDB {
+					continue
+				}
+				if got := ollaMCSFor(phy.MCSTable64QAM, ct).pick(cqi, olla); got != 15 {
+					t.Fatalf("pick(qam64, %v, CQI %d, olla %v) = %d in the MCS 16/17 gap, want 15", ct, cqi, olla, got)
+				}
+				checkOLLAMCS(t, phy.MCSTable64QAM, ct, cqi, olla)
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no CQI puts the gap in the offset range")
+	}
+}
+
 // FuzzOLLAMCS checks the threshold pick against the reference for both
 // MCS tables, any CQI table (0 or ≥ 3 is unknown), any CQI 0–15 and two
 // offsets per input: olla as given, NaN and ±Inf included, and the
 // threshold of MCS row `row` stepped by `ulps` ulps, so the mutator
-// walks every decision boundary ulp by ulp.
+// walks every decision boundary ulp by ulp. It also checks bucket edge
+// `edge` of the index (modulo the edge count) ± 4 ulps for the four table
+// pairs and every CQI, and the seeds name every edge.
 func FuzzOLLAMCS(f *testing.F) {
-	f.Add(uint8(2), uint8(2), uint8(15), uint8(27), int8(0), 0.0)
-	f.Add(uint8(1), uint8(1), uint8(9), uint8(14), int8(-1), -6.0)
-	f.Add(uint8(1), uint8(2), uint8(1), uint8(1), int8(1), 3.0)
-	f.Add(uint8(2), uint8(1), uint8(7), uint8(12), int8(1), -2.35)
-	f.Add(uint8(2), uint8(2), uint8(0), uint8(3), int8(0), math.NaN())
-	f.Add(uint8(1), uint8(2), uint8(12), uint8(20), int8(-1), math.Inf(1))
-	f.Add(uint8(2), uint8(1), uint8(4), uint8(9), int8(0), math.Inf(-1))
-	f.Add(uint8(1), uint8(3), uint8(5), uint8(5), int8(0), 1.0)
-	f.Fuzz(func(t *testing.T, mt, ct, cqi, row uint8, ulps int8, olla float64) {
+	f.Add(uint8(2), uint8(2), uint8(15), uint8(27), int8(0), 0.0, uint16(192))
+	f.Add(uint8(1), uint8(1), uint8(9), uint8(14), int8(-1), -6.0, uint16(0))
+	f.Add(uint8(1), uint8(2), uint8(1), uint8(1), int8(1), 3.0, uint16(288))
+	f.Add(uint8(2), uint8(1), uint8(7), uint8(12), int8(1), -2.35, uint16(117))
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(3), int8(0), math.NaN(), uint16(289))
+	f.Add(uint8(1), uint8(2), uint8(12), uint8(20), int8(-1), math.Inf(1), uint16(1))
+	f.Add(uint8(2), uint8(1), uint8(4), uint8(9), int8(0), math.Inf(-1), uint16(287))
+	f.Add(uint8(1), uint8(3), uint8(5), uint8(5), int8(0), 1.0, uint16(224))
+	for b := 0; b <= ollaBuckets; b++ {
+		f.Add(uint8(1+b%2), uint8(1+b/2%2), uint8(b%16), uint8(1+b%28), int8(b%9-4), ollaBucketEdge(b), uint16(b))
+	}
+	f.Fuzz(func(t *testing.T, mt, ct, cqi, row uint8, ulps int8, olla float64, edge uint16) {
 		mcsT, cqiT := phy.MCSTable(1+mt%2), phy.CQITable(ct%4)
 		q := phy.CQI(cqi % (uint8(phy.MaxCQI) + 1))
 		checkOLLAMCS(t, mcsT, cqiT, q, olla)
 		if q > 0 && cqiT >= 1 && cqiT <= 2 {
 			r := 1 + row%mcsT.MaxIndex()
 			checkOLLAMCS(t, mcsT, cqiT, q, nudge(ollaThreshold(mcsT, cqiT, q, r), int(ulps)))
+		}
+		e := ollaBucketEdge(int(edge) % (ollaBuckets + 1))
+		for _, mt := range ollaMCSTables {
+			for _, ct := range ollaCQITables {
+				for q := phy.CQI(0); q <= phy.MaxCQI; q++ {
+					for k := -4; k <= 4; k++ {
+						checkOLLAMCS(t, mt, ct, q, nudge(e, k))
+					}
+				}
+			}
 		}
 	})
 }

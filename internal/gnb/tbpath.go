@@ -5,6 +5,7 @@ import (
 
 	"github.com/midband5g/midband/internal/obs"
 	"github.com/midband5g/midband/internal/phy"
+	"github.com/midband5g/midband/internal/tdd"
 	"github.com/midband5g/midband/internal/ue"
 )
 
@@ -66,9 +67,21 @@ type tbPath struct {
 	tbs      *phy.TBSCache
 	mcsPick  *ollaMCS
 	maxMCS   int // cfg.MCSTable.MaxIndex(), hoisted off the dither path
-	// dlSymTab is dlSymbols over one TDD period (length 1 for FDD), so
-	// the per-slot query is a table index instead of a pattern walk.
-	dlSymTab []int
+	// resPerPRB[s] is TBSParams.REs at one PRB for s data symbols, so a
+	// TB's RE count is one multiply (the count is linear in PRBs).
+	resPerPRB [phy.SymbolsPerSlot + 1]int
+	// phases holds each TDD-period phase's data symbols (length 1 for
+	// FDD); owners walk it with a cursor in step with their slot counter
+	// (see symbolsAt).
+	phases []slotSymbols
+}
+
+// slotSymbols is one slot's data-symbol budget per direction. DL slots
+// lose the PDCCH symbols; special-slot UL symbols are too few for PUSCH
+// data and are reserved for control, so only full UL slots count
+// (matching commercial mid-band behaviour).
+type slotSymbols struct {
+	dl, ul int
 }
 
 // newTBPath builds the chain for an owner's effective carrier config
@@ -96,27 +109,39 @@ func newTBPath(cfg *CarrierConfig, csiCfg ue.CSIConfig) tbPath {
 			p.effByCQI[q] = row.Efficiency
 		}
 	}
+	for s := range p.resPerPRB {
+		p.resPerPRB[s] = phy.TBSParams{Symbols: s, DMRSPerPRB: cfg.DMRSPerPRB, PRBs: 1}.REs()
+	}
 	if cfg.FDD {
-		p.dlSymTab = []int{phy.SymbolsPerSlot - cfg.PDCCHSymbols}
+		p.phases = []slotSymbols{{dl: phy.SymbolsPerSlot - cfg.PDCCHSymbols, ul: phy.SymbolsPerSlot}}
 	} else {
-		p.dlSymTab = make([]int, cfg.Pattern.Period())
-		for i := range p.dlSymTab {
+		p.phases = make([]slotSymbols, cfg.Pattern.Period())
+		for i := range p.phases {
 			if d := cfg.Pattern.DLSymbols(int64(i)); d > 0 {
 				if s := d - cfg.PDCCHSymbols; s >= 1 {
-					p.dlSymTab[i] = s
+					p.phases[i].dl = s
 				}
+			}
+			if cfg.Pattern.Slot(int64(i)) == tdd.Uplink {
+				p.phases[i].ul = phy.SymbolsPerSlot
 			}
 		}
 	}
 	return p
 }
 
-// dlSymbols returns the DL data symbols available in the slot (slots are
-// never negative).
+// symbolsAt returns the data symbols of the slot at TDD-period phase
+// *phase and moves *phase on to the next slot's. An owner starts its
+// cursor at 0 with its slot counter and advances it once per slot, so
+// the phase is the slot index modulo the period without a division.
 //
 //detlint:zeroalloc
-func (p *tbPath) dlSymbols(slot int64) int {
-	return p.dlSymTab[slot%int64(len(p.dlSymTab))]
+func (p *tbPath) symbolsAt(phase *int) slotSymbols {
+	s := p.phases[*phase]
+	if *phase++; *phase == len(p.phases) {
+		*phase = 0
+	}
+	return s
 }
 
 // cqiEff returns the reported CQI's spectral efficiency, 0 when no fresh
@@ -171,14 +196,14 @@ func (p *tbPath) size(dst *harqJob, slot int64, symbols, rbs int, mcs uint8, ran
 	if err != nil {
 		return false
 	}
-	// REs for the trace record (MCS does not enter the RE count). The
-	// cache clamps DMRS to the REs of the symbols; REs floors the per-PRB
-	// count at 0, which gives the same count unclamped.
-	params := phy.TBSParams{Symbols: symbols, DMRSPerPRB: p.cfg.DMRSPerPRB, PRBs: rbs, Layers: rank}
 	dst.readySlot = slot
 	dst.rank = rank
 	dst.rbs = rbs
-	dst.res = params.REs()
+	// REs for the trace record (MCS does not enter the RE count). The
+	// cache clamps DMRS to the REs of the symbols; REs floors the per-PRB
+	// count at 0, which gives the same count unclamped. The lookup
+	// accepted symbols, so they index the table.
+	dst.res = p.resPerPRB[symbols] * rbs
 	dst.tbs = tbs
 	dst.retx = 0
 	dst.mcs = mcs
@@ -205,7 +230,7 @@ func (p *tbPath) decode(draw float64, job *harqJob, sinrDB float64, olla *float6
 		} else {
 			*olla -= 0.05
 		}
-		*olla = max(-6, min(3, *olla))
+		*olla = max(ollaLoDB, min(ollaHiDB, *olla))
 	}
 	return ack
 }

@@ -81,6 +81,7 @@ type refTables struct {
 	mcsPick  *ollaMCS
 	effByCQI [phy.MaxCQI + 1]float64
 	dlSymTab []int
+	ulSymTab []int
 	ulEff    [phy.MaxCQI + 1][5]float64
 	ulRank   [5]int
 }
@@ -109,6 +110,16 @@ func newRefTables(cfg CarrierConfig, csiCfg2 ue.CSIConfig) *refTables {
 				if s := d - cfg.PDCCHSymbols; s >= 1 {
 					c.dlSymTab[i] = s
 				}
+			}
+		}
+	}
+	if cfg.FDD {
+		c.ulSymTab = []int{phy.SymbolsPerSlot}
+	} else {
+		c.ulSymTab = make([]int, cfg.Pattern.Period())
+		for i := range c.ulSymTab {
+			if cfg.Pattern.Slot(int64(i)) == tdd.Uplink {
+				c.ulSymTab[i] = phy.SymbolsPerSlot
 			}
 		}
 	}
@@ -642,12 +653,12 @@ func checkTBTables(t *testing.T, p *tbPath, ref *refTables) {
 		p.csi != ref.csiCfg {
 		t.Fatal("CQI efficiency column, max MCS, MCS thresholds or CSI config differ from the reference")
 	}
-	if len(p.dlSymTab) != len(ref.dlSymTab) {
-		t.Fatalf("DL symbol table %v, reference %v", p.dlSymTab, ref.dlSymTab)
+	if len(p.phases) != len(ref.dlSymTab) || len(p.phases) != len(ref.ulSymTab) {
+		t.Fatalf("phase table %v, reference DL %v UL %v", p.phases, ref.dlSymTab, ref.ulSymTab)
 	}
-	for i := range p.dlSymTab {
-		if p.dlSymTab[i] != ref.dlSymTab[i] {
-			t.Fatalf("DL symbol table %v, reference %v", p.dlSymTab, ref.dlSymTab)
+	for i, s := range p.phases {
+		if s.dl != ref.dlSymTab[i] || s.ul != ref.ulSymTab[i] {
+			t.Fatalf("phase table %v, reference DL %v UL %v", p.phases, ref.dlSymTab, ref.ulSymTab)
 		}
 	}
 	a := ref.amc

@@ -125,10 +125,15 @@ func (t MCSTable) rows() ([]MCS, error) {
 	}
 }
 
-// HighestMCSForEfficiency returns the largest MCS index in table t whose
-// spectral efficiency does not exceed se bits per RE. It returns index 0 if
-// even the lowest MCS exceeds se. The scan runs over the efficiencies
-// precomputed at init (row index equals MCS index in both tables).
+// HighestMCSForEfficiency returns the last row of the longest prefix of
+// table t whose spectral efficiencies all lie within se bits per RE: it
+// scans up from MCS 0 and stops at the first row above se. It returns
+// index 0 if even the lowest MCS exceeds se. Table 1 is not monotone in
+// efficiency (MCS 17, 2.5664 b/RE, sits below MCS 16, 2.5703), so for se
+// in [2.5664, 2.5703) it returns 15 although MCS 17 is within se; the
+// simulator's outputs depend on that rule. The scan runs over the
+// efficiencies precomputed at init (row index equals MCS index in both
+// tables).
 func (t MCSTable) HighestMCSForEfficiency(se float64) uint8 {
 	d := t.derived()
 	if d == nil {

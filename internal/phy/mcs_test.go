@@ -101,6 +101,23 @@ func TestHighestMCSForEfficiency(t *testing.T) {
 	}
 }
 
+// TestHighestMCSForEfficiencyPrefixRule pins the in-reach-prefix rule on
+// Table 1's one non-monotone step: MCS 17 (2.5664 b/RE) is within 2.568
+// but MCS 16 (2.5703) is not, and the scan stops at MCS 16.
+func TestHighestMCSForEfficiencyPrefixRule(t *testing.T) {
+	m16, _ := MCSTable64QAM.Lookup(16)
+	m17, _ := MCSTable64QAM.Lookup(17)
+	if !(m17.SpectralEfficiency() <= 2.568 && 2.568 < m16.SpectralEfficiency()) {
+		t.Fatalf("MCS 16/17 efficiencies %v/%v no longer straddle 2.568", m16.SpectralEfficiency(), m17.SpectralEfficiency())
+	}
+	if got := MCSTable64QAM.HighestMCSForEfficiency(2.568); got != 15 {
+		t.Errorf("HighestMCSForEfficiency(2.568) = %d, want 15 (MCS 16 is out of reach)", got)
+	}
+	if got := MCSTable64QAM.HighestMCSForEfficiency(m16.SpectralEfficiency()); got != 17 {
+		t.Errorf("HighestMCSForEfficiency(MCS 16's efficiency) = %d, want 17", got)
+	}
+}
+
 func TestHighestMCSForEfficiencyProperty(t *testing.T) {
 	// Property: the chosen MCS never exceeds the requested efficiency
 	// (unless it is index 0), and the next index always would.

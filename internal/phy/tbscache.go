@@ -80,17 +80,16 @@ func (c *TBSCache) params(symbols, prbs int, row MCS, layers int) TBSParams {
 
 // TBS returns the transport block size for the tuple, memoized. It is
 // equivalent to calling the package-level TBS with the carrier's DMRS
-// clamp applied.
+// clamp applied. The MCS row is looked up only on a miss: a key is
+// inserted only after its row was found, and errors are never cached.
 func (c *TBSCache) TBS(symbols, prbs int, mcs uint8, layers int) (int, error) {
-	row, err := c.table.Lookup(mcs)
-	if err != nil {
-		return 0, err
-	}
 	if symbols < 1 || symbols > SymbolsPerSlot ||
 		prbs < 1 || prbs >= 1<<tbsKeyPRBBits ||
+		mcs >= 1<<tbsKeyMCSBits ||
 		layers < 1 || layers > 4 {
-		// Not packable into a key; let TBS validate and compute directly.
-		return TBS(c.params(symbols, prbs, row, layers))
+		// Not packable into a key; let Lookup and TBS validate and
+		// compute directly.
+		return c.compute(symbols, prbs, mcs, layers)
 	}
 	key := uint32(symbols)<<tbsKeySymbolShift |
 		uint32(prbs)<<tbsKeyPRBShift |
@@ -107,12 +106,21 @@ func (c *TBSCache) TBS(symbols, prbs int, mcs uint8, layers int) (int, error) {
 		}
 		i = (i + 1) & c.mask
 	}
-	tbs, err := TBS(c.params(symbols, prbs, row, layers))
+	tbs, err := c.compute(symbols, prbs, mcs, layers)
 	if err != nil {
 		return 0, err
 	}
 	c.insert(key, int32(tbs))
 	return tbs, nil
+}
+
+// compute is the uncached TBS of a tuple.
+func (c *TBSCache) compute(symbols, prbs int, mcs uint8, layers int) (int, error) {
+	row, err := c.table.Lookup(mcs)
+	if err != nil {
+		return 0, err
+	}
+	return TBS(c.params(symbols, prbs, row, layers))
 }
 
 // insert stores a computed entry, doubling the table when it passes 3/4

@@ -107,6 +107,10 @@ type CSI struct {
 	pending  []Report // reports generated but not yet visible to the gNB
 	current  Report
 	primed   bool
+	// No reporting slot (multiple of PeriodSlots) lies strictly between
+	// prevReport and nextReport, so Observe skips every slot between them
+	// without a division. The zero value is the empty interval.
+	prevReport, nextReport int64
 }
 
 // NewCSI creates a CSI feedback loop.
@@ -168,7 +172,7 @@ func (c *CSI) Observe(slot int64, sinrDB float64) {
 	if n > 0 {
 		c.pending = c.pending[:copy(c.pending, c.pending[n:])]
 	}
-	if slot%int64(c.cfg.PeriodSlots) != 0 {
+	if !c.reportingSlot(slot) {
 		return
 	}
 	if math.IsInf(sinrDB, -1) { // outage: out-of-range report
@@ -191,6 +195,32 @@ func (c *CSI) Observe(slot int64, sinrDB float64) {
 		obs.Sim.CQIReports.Inc()
 		obs.Sim.CQI.Observe(float64(cqi))
 	}
+}
+
+// reportingSlot reports whether slot is a multiple of the reporting
+// period. A slot strictly inside the known interval is not; any other
+// slot takes the modulo and re-anchors the interval on the reporting
+// slots around it, so the answer is exact for any slot sequence and the
+// modulo runs once per period on the ascending slots of a simulation.
+//
+//detlint:zeroalloc
+func (c *CSI) reportingSlot(slot int64) bool {
+	if slot > c.prevReport && slot < c.nextReport {
+		return false
+	}
+	p := int64(c.cfg.PeriodSlots)
+	r := slot % p
+	// base is the reporting slot between 0 and slot, inclusive. Within a
+	// period of either end of the int64 range the bound past base wraps
+	// around and leaves the interval empty, so those slots always take
+	// the modulo.
+	base := slot - r
+	if r >= 0 {
+		c.prevReport, c.nextReport = base, base+p
+	} else {
+		c.prevReport, c.nextReport = base-p, base
+	}
+	return r == 0
 }
 
 // Current returns the report in effect at the gNB, and false if no report
