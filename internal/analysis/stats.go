@@ -179,13 +179,6 @@ func Shares[T comparable](xs []T) map[T]float64 {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Correlation returns the Pearson correlation coefficient of two
 // equal-length series — the cross-layer correlation tool behind the §6
 // "cross-correlating 5G parameters with the application decision process"

@@ -43,12 +43,20 @@ type RunManifest struct {
 	ScenarioDigest string `json:"scenario_digest,omitempty"`
 
 	// Toolchain and host provenance.
-	GoVersion   string `json:"go_version"`
+	GoVersion string `json:"go_version"`
+	// GitRevision is the VCS revision the binary was built from, as the
+	// Go toolchain stamps it. A manifest committed with the outputs it
+	// describes is regenerated in the working tree before that commit
+	// exists, so it names the commit it was regenerated on: the parent
+	// of the commit that carries it.
 	GitRevision string `json:"git_revision,omitempty"`
-	GitDirty    bool   `json:"git_dirty,omitempty"`
-	OS          string `json:"os"`
-	Arch        string `json:"arch"`
-	NumCPU      int    `json:"num_cpu"`
+	// GitDirty reports uncommitted changes in the build's working tree.
+	// It reads true in every committed manifest, because the change that
+	// regenerates the outputs is not yet committed when they are made.
+	GitDirty bool   `json:"git_dirty,omitempty"`
+	OS       string `json:"os"`
+	Arch     string `json:"arch"`
+	NumCPU   int    `json:"num_cpu"`
 
 	// Run accounting.
 	Start          time.Time `json:"start"`
