@@ -158,6 +158,20 @@ func (st *kpiStats) print(out io.Writer) {
 	}
 }
 
+// dumpColumns projects a dump's scan onto the columns kpiStats.add and
+// printRecord read: the others stay undecoded.
+const dumpColumns = xcol.AllColumns &^ (1<<xcol.ColRSRPdBm | 1<<xcol.ColPosX | 1<<xcol.ColPosY |
+	1<<xcol.ColREs | 1<<xcol.ColServingCell | 1<<xcol.ColHARQRetx | 1<<xcol.ColOutage)
+
+// projectedRow fills the fields of k that dumpColumns decodes.
+func projectedRow(b *xcol.Block, i int, k *xcal.SlotKPI) {
+	k.Slot, k.Time = b.Slot[i], b.Time[i]
+	k.Carrier, k.RAT, k.Dir = b.Carrier[i], xcal.RAT(b.RAT[i]), xcal.Direction(b.Dir[i])
+	k.CQI, k.MCSTable, k.MCS, k.Rank = b.CQI[i], b.MCSTable[i], b.MCS[i], b.Rank[i]
+	k.ACK, k.RBs, k.TBSBits, k.DeliveredBits = b.ACK[i], b.RBs[i], b.TBSBits[i], b.DeliveredBits[i]
+	k.SINRdB, k.RSRQdB = b.SINRdB[i], b.RSRQdB[i]
+}
+
 func printRecord(out io.Writer, k *xcal.SlotKPI, i int) {
 	fmt.Fprintf(out, "  #%d slot=%d %s/%s cqi=%d mcs=%d(t%d) rank=%d rbs=%d tbs=%d ack=%v sinr=%.1f\n",
 		i, k.Slot, k.RAT, k.Dir, k.CQI, k.MCS, k.MCSTable, k.Rank, k.RBs, k.TBSBits, k.ACK, k.SINRdB)
@@ -195,6 +209,7 @@ func dumpCol(out io.Writer, name, path string, showRecords int, showBlocks bool)
 	st := newKPIStats()
 	printed := 0
 	var k xcal.SlotKPI
+	s.SetProjection(dumpColumns)
 	for {
 		blk, err := s.Next()
 		if err == io.EOF {
@@ -204,7 +219,7 @@ func dumpCol(out io.Writer, name, path string, showRecords int, showBlocks bool)
 			return err
 		}
 		for i := 0; i < blk.Count; i++ {
-			blk.Row(i, &k)
+			projectedRow(blk, i, &k)
 			if printed < showRecords {
 				printed++
 				printRecord(out, &k, printed)

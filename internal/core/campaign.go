@@ -160,7 +160,7 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, t
 		d = time.Duration(float64(d) * fs.AbortFraction)
 	}
 	// w stays a nil interface without a trace path, so the nil check in
-	// Session.runIperf stays meaningful.
+	// Session.RunIperf stays meaningful.
 	var w xcal.TraceWriter
 	var f *os.File
 	if tracePath != "" {
@@ -169,7 +169,7 @@ func runSession(op operators.Operator, sc operators.Scenario, d time.Duration, t
 			return nil, nil, fmt.Errorf("core: creating trace: %w", err)
 		}
 	}
-	res, err := sess.runIperf(iperf.Config{Duration: d, Demand: net5g.Saturate, Discard: true}, w)
+	res, err := sess.RunIperf(d, net5g.Saturate, w)
 	if err == nil && aborted {
 		err = fleet.Permanent(fault.ErrSessionAborted)
 		if obs.Enabled() {

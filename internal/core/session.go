@@ -121,7 +121,7 @@ func (s *Session) WarmUp() error {
 	s.rrc.Touch(s.Link.Now())
 	// 20 "seconds" of video in the paper; 1 simulated second of traffic
 	// is ample to settle CSI and OLLA here.
-	if _, err := iperf.Run(s.Link, iperf.Config{Duration: time.Second, Discard: true}); err != nil {
+	if _, err := iperf.Run(s.Link, iperf.Config{Duration: time.Second}); err != nil {
 		return fmt.Errorf("core: warm-up: %w", err)
 	}
 	s.rrc.Tick(s.Link.Now())
@@ -132,46 +132,32 @@ func (s *Session) WarmUp() error {
 	return nil
 }
 
-// RunIperf runs a bulk-transfer measurement after warm-up. When w is
-// non-nil, the session writes the full capture: signaling first, then
-// per-slot KPI records, plus periodic DCI frames for config extraction.
-// Runs capture into a columnar xcol.Writer; the session itself only
-// sees the interface, so tests can capture the same slots into the row
-// xcal.Writer. Pass a nil interface (not a typed nil) to skip capture.
-func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWriter) (*iperf.Result, error) {
-	return s.runIperf(iperf.Config{Duration: d, Demand: demand}, w)
-}
-
-// runIperf is RunIperf for a measurement configured by cfg; the campaign
-// sets cfg.Discard because it reads only the session averages.
-func (s *Session) runIperf(cfg iperf.Config, w xcal.TraceWriter) (*iperf.Result, error) {
+// RunIperf runs a bulk-transfer measurement after warm-up, calling each
+// observer once per step. When w is non-nil, the session writes the full
+// capture: signaling first, then per-slot KPI records, plus periodic DCI
+// frames for config extraction. Runs capture into a columnar
+// xcol.Writer; the session itself only sees the interface, so tests can
+// capture the same slots into the row xcal.Writer. Pass a nil interface
+// (not a typed nil) to skip capture.
+func (s *Session) RunIperf(d time.Duration, demand net5g.Demand, w xcal.TraceWriter, obs ...iperf.Observer) (*iperf.Result, error) {
 	if err := s.WarmUp(); err != nil {
 		return nil, err
 	}
-	var tap *dciTap
+	var c *capture
 	if w != nil {
-		mib, sibs, err := s.Signaling()
-		if err != nil {
+		if err := s.writeSignaling(w); err != nil {
 			return nil, err
 		}
-		if err := w.WriteMIB(&mib); err != nil {
-			return nil, err
-		}
-		for i := range sibs {
-			if err := w.WriteSIB1(&sibs[i]); err != nil {
-				return nil, err
-			}
-		}
-		tap = &dciTap{TraceWriter: w}
-		cfg.Trace = tap
+		c = &capture{w: w}
+		obs = append([]iperf.Observer{c}, obs...)
 	}
-	res, err := iperf.Run(s.Link, cfg)
+	res, err := iperf.Run(s.Link, iperf.Config{Duration: d, Demand: demand, Observers: obs})
 	if err != nil {
 		return nil, err
 	}
-	if tap != nil {
-		for i := range tap.dcis {
-			if err := w.WriteDCI(&tap.dcis[i]); err != nil {
+	if c != nil {
+		for i := range c.dcis {
+			if err := w.WriteDCI(&c.dcis[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -179,38 +165,62 @@ func (s *Session) runIperf(cfg iperf.Config, w xcal.TraceWriter) (*iperf.Result,
 	return res, nil
 }
 
-// dciTap writes KPI records through to the capture and keeps one DCI
-// frame per 16 DL NR allocation records (subsampled to keep traces
-// compact), which runIperf emits after the run.
-type dciTap struct {
-	xcal.TraceWriter
+// writeSignaling writes the session's MIB and SIB1s, the head of every
+// capture.
+func (s *Session) writeSignaling(w xcal.TraceWriter) error {
+	mib, sibs, err := s.Signaling()
+	if err != nil {
+		return err
+	}
+	if err := w.WriteMIB(&mib); err != nil {
+		return err
+	}
+	for i := range sibs {
+		if err := w.WriteSIB1(&sibs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// capture is the observer behind a traced RunIperf: it writes every
+// step's KPI records through to the trace and keeps one DCI frame per 16
+// DL NR records that carry a transport block (subsampled to keep traces
+// compact), which RunIperf writes after the run.
+type capture struct {
+	w    xcal.TraceWriter
+	recs []xcal.SlotKPI // reused per step
 	n    int
 	dcis []xcal.DCI
 }
 
-func (t *dciTap) WriteKPI(r *xcal.SlotKPI) error {
-	if err := t.TraceWriter.WriteKPI(r); err != nil {
-		return err
+func (c *capture) Observe(r *net5g.StepResult) error {
+	c.recs = net5g.KPIRecords(*r, c.recs[:0])
+	for i := range c.recs {
+		k := &c.recs[i]
+		if err := c.w.WriteKPI(k); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
+		}
+		if k.Dir != xcal.DL || k.RAT != xcal.NR || k.TBSBits == 0 {
+			continue
+		}
+		if c.n++; c.n%16 != 0 {
+			continue
+		}
+		format := xcal.DCI10
+		if k.MCSTable == 2 {
+			format = xcal.DCI11
+		}
+		c.dcis = append(c.dcis, xcal.DCI{
+			Slot:    k.Slot,
+			Format:  format,
+			Carrier: k.Carrier,
+			MCS:     k.MCS,
+			RBs:     k.RBs,
+			Rank:    k.Rank,
+			NDI:     k.HARQRetx == 0,
+		})
 	}
-	if r.Dir != xcal.DL || r.RAT != xcal.NR || r.TBSBits == 0 {
-		return nil
-	}
-	if t.n++; t.n%16 != 0 {
-		return nil
-	}
-	format := xcal.DCI10
-	if r.MCSTable == 2 {
-		format = xcal.DCI11
-	}
-	t.dcis = append(t.dcis, xcal.DCI{
-		Slot:    r.Slot,
-		Format:  format,
-		Carrier: r.Carrier,
-		MCS:     r.MCS,
-		RBs:     r.RBs,
-		Rank:    r.Rank,
-		NDI:     r.HARQRetx == 0,
-	})
 	return nil
 }
 
@@ -240,17 +250,8 @@ func (s *Session) RunVideo(cfg video.SessionConfig, w xcal.TraceWriter) (*video.
 		return nil, err
 	}
 	if w != nil {
-		mib, sibs, err := s.Signaling()
-		if err != nil {
+		if err := s.writeSignaling(w); err != nil {
 			return nil, err
-		}
-		if err := w.WriteMIB(&mib); err != nil {
-			return nil, err
-		}
-		for i := range sibs {
-			if err := w.WriteSIB1(&sibs[i]); err != nil {
-				return nil, err
-			}
 		}
 	}
 	res, err := video.Play(s.Link, cfg)

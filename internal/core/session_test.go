@@ -14,6 +14,24 @@ import (
 	"github.com/midband5g/midband/internal/xcol"
 )
 
+// keepRecords is the oracle's observer: it writes every step's KPI
+// records to w and keeps them all.
+type keepRecords struct {
+	w    xcal.TraceWriter
+	recs []xcal.SlotKPI
+}
+
+func (k *keepRecords) Observe(r *net5g.StepResult) error {
+	n := len(k.recs)
+	k.recs = net5g.KPIRecords(*r, k.recs)
+	for i := n; i < len(k.recs); i++ {
+		if err := k.w.WriteKPI(&k.recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // oracleTracedIperf is the capture path RunIperf replaced: keep every KPI
 // record of the run, then emit one DCI frame per 16th DL NR allocation
 // record after it.
@@ -34,13 +52,13 @@ func oracleTracedIperf(t *testing.T, s *Session, d time.Duration, w xcal.TraceWr
 			t.Fatal(err)
 		}
 	}
-	res, err := iperf.Run(s.Link, iperf.Config{Duration: d, Demand: net5g.Saturate, Trace: w, KeepRecords: true})
-	if err != nil {
+	keep := &keepRecords{w: w}
+	if _, err := iperf.Run(s.Link, iperf.Config{Duration: d, Demand: net5g.Saturate, Observers: []iperf.Observer{keep}}); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for i := range res.Records {
-		r := &res.Records[i]
+	for i := range keep.recs {
+		r := &keep.recs[i]
 		if r.Dir != xcal.DL || r.RAT != xcal.NR || r.TBSBits == 0 {
 			continue
 		}
@@ -67,10 +85,11 @@ func oracleTracedIperf(t *testing.T, s *Session, d time.Duration, w xcal.TraceWr
 	}
 }
 
-// TestRunIperfTraceMatchesOracle pins the DCI tap: a traced RunIperf
-// writes the same capture bytes as the keep-every-record oracle, in both
-// trace containers, for a single-carrier and a carrier-aggregated
-// operator with an LTE anchor.
+// TestRunIperfTraceMatchesOracle pins the capture observer: a traced
+// RunIperf writes the same capture bytes as the keep-every-record
+// oracle, in both trace containers, for a single-carrier and a
+// carrier-aggregated operator with an LTE anchor, with and without a
+// Series observer riding along.
 func TestRunIperfTraceMatchesOracle(t *testing.T) {
 	containers := map[string]func(io.Writer, xcal.Meta) (xcal.TraceWriter, error){
 		"xcal": func(w io.Writer, m xcal.Meta) (xcal.TraceWriter, error) { return xcal.NewWriter(w, m) },
@@ -92,16 +111,22 @@ func TestRunIperfTraceMatchesOracle(t *testing.T) {
 					}
 					return buf.Bytes()
 				}
-				got := capture(func(s *Session, w xcal.TraceWriter) {
-					if _, err := s.RunIperf(time.Second, net5g.Saturate, w); err != nil {
-						t.Fatal(err)
-					}
-				})
 				want := capture(func(s *Session, w xcal.TraceWriter) {
 					oracleTracedIperf(t, s, time.Second, w)
 				})
-				if !bytes.Equal(got, want) {
-					t.Fatalf("RunIperf trace (%d bytes) differs from the oracle capture (%d bytes)", len(got), len(want))
+				for _, series := range []bool{false, true} {
+					got := capture(func(s *Session, w xcal.TraceWriter) {
+						var obs []iperf.Observer
+						if series {
+							obs = append(obs, iperf.NewSeries(s.Link, time.Second))
+						}
+						if _, err := s.RunIperf(time.Second, net5g.Saturate, w, obs...); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if !bytes.Equal(got, want) {
+						t.Fatalf("RunIperf trace (%d bytes, series %v) differs from the oracle capture (%d bytes)", len(got), series, len(want))
+					}
 				}
 			})
 		}

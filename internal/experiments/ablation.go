@@ -25,18 +25,11 @@ type AblationResult struct {
 
 // ablationLink builds a V_Sp link with a carrier-config mutation applied.
 func ablationLink(o Options, mutate func(*gnb.CarrierConfig)) (*net5g.Link, error) {
-	op, err := operators.ByAcronym("V_Sp")
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := op.LinkConfig(operators.Stationary(o.seed() + 999))
-	if err != nil {
-		return nil, err
-	}
-	if mutate != nil {
-		mutate(&cfg.Carriers[0])
-	}
-	return net5g.NewLink(cfg)
+	return newLink("V_Sp", operators.Stationary(o.seed()+999), func(c *net5g.LinkConfig) {
+		if mutate != nil {
+			mutate(&c.Carriers[0])
+		}
+	})
 }
 
 func ablationMeasureFull(o Options, mutate func(*gnb.CarrierConfig)) (dlMbps, bler, residualLoss float64, err error) {
@@ -44,44 +37,56 @@ func ablationMeasureFull(o Options, mutate func(*gnb.CarrierConfig)) (dlMbps, bl
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	res, err := iperf.Run(link, iperf.Config{Duration: o.sessionSeconds(10), Demand: net5g.Demand{DL: true}, KeepRecords: true})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	nacks, n := 0.0, 0.0
-	for i := range res.ACK {
-		if res.RBs[i] > 0 {
-			n++
-			if res.ACK[i] == 0 {
-				nacks++
-			}
-		}
-	}
 	// Residual loss: transport blocks that exhausted their transmission
 	// attempts without delivery (application-visible loss, left for TCP
 	// to recover).
-	maxRetx := 3
+	h := &harqOutcomes{maxRetx: 3}
 	if mutate != nil {
 		probe := gnb.CarrierConfig{}
 		mutate(&probe)
 		if probe.DisableHARQ {
-			maxRetx = 0
+			h.maxRetx = 0
 		}
 	}
-	lost, tbs := 0.0, 0.0
-	for _, r := range res.Records {
-		if r.Dir != xcal.DL || r.RAT != xcal.NR || r.TBSBits == 0 {
+	res, err := iperf.Run(link, iperf.Config{Duration: o.sessionSeconds(10), Demand: net5g.Demand{DL: true}, Observers: []iperf.Observer{h}})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if h.tbs > 0 {
+		residualLoss = h.lost / h.tbs
+	}
+	return res.DLMbps, h.nacks / h.scheduled, residualLoss, nil
+}
+
+// harqOutcomes is the observer behind ablationMeasureFull. It counts the
+// PCell DL slots with an allocation and their NACKs (the BLER), and the
+// DL NR transport blocks that failed after maxRetx retransmissions (the
+// residual loss).
+type harqOutcomes struct {
+	maxRetx                     int
+	recs                        []xcal.SlotKPI // reused per step
+	scheduled, nacks, tbs, lost float64
+}
+
+func (h *harqOutcomes) Observe(r *net5g.StepResult) error {
+	if dl := r.NR[0].DL; dl != nil && dl.RBs > 0 {
+		h.scheduled++
+		if !dl.ACK {
+			h.nacks++
+		}
+	}
+	h.recs = net5g.KPIRecords(*r, h.recs[:0])
+	for i := range h.recs {
+		k := &h.recs[i]
+		if k.Dir != xcal.DL || k.RAT != xcal.NR || k.TBSBits == 0 {
 			continue
 		}
-		tbs++
-		if !r.ACK && int(r.HARQRetx) >= maxRetx {
-			lost++
+		h.tbs++
+		if !k.ACK && int(k.HARQRetx) >= h.maxRetx {
+			h.lost++
 		}
 	}
-	if tbs > 0 {
-		residualLoss = lost / tbs
-	}
-	return res.DLMbps, nacks / n, residualLoss, nil
+	return nil
 }
 
 // ablationVariants runs the plan of one ablationMeasureFull arm per

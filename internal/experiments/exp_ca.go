@@ -38,7 +38,7 @@ func Fig23(o Options) ([]Fig23Row, error) {
 		}
 		// Same seed for every combo: the PCell channel realization is
 		// identical, so the deltas isolate the aggregated carriers.
-		res, err := measureOp(sub, operators.Stationary(o.seed()), o.sessionSeconds(10), net5g.Demand{DL: true})
+		res, err := measureAverages(sub, operators.Stationary(o.seed()), o.sessionSeconds(10), net5g.Demand{DL: true})
 		if err != nil {
 			return nil, err
 		}

@@ -107,7 +107,7 @@ func Sec32(o Options) ([]Sec32Result, error) {
 	}
 	var out []Sec32Result
 	for _, c := range cases {
-		res, err := measure(c.acr, o.sessionSeconds(30), net5g.Demand{DL: true}, o.seed())
+		_, res, err := measure(c.acr, o.sessionSeconds(30), net5g.Demand{DL: true}, o.seed())
 		if err != nil {
 			return nil, err
 		}

@@ -91,7 +91,7 @@ func ExtTDDSweepPlan(o Options) Plan[ExtTDDSweepRow, []ExtTDDSweepRow] {
 		sub := op
 		sub.Carriers = append([]operators.Carrier(nil), op.Carriers...)
 		sub.Carriers[0].TDDPattern = pat
-		res, err := measureOp(sub, operators.Stationary(o.seed()+int64(i)*157), o.sessionSeconds(12), net5g.Saturate)
+		res, err := measureAverages(sub, operators.Stationary(o.seed()+int64(i)*157), o.sessionSeconds(12), net5g.Saturate)
 		if err != nil {
 			return ExtTDDSweepRow{}, err
 		}
@@ -248,15 +248,7 @@ func ExtSchedulersPlan(o Options) Plan[ExtSchedulerRow, []ExtSchedulerRow] {
 // under the dynamic NSA policy for a European operator — the §4.2
 // "UL transmissions use both 5G and 4G channels" observation quantified.
 func ULRoutingShare(o Options, acr string) (nrShare float64, err error) {
-	op, err := operators.ByAcronym(acr)
-	if err != nil {
-		return 0, err
-	}
-	cfg, err := op.LinkConfig(operators.Stationary(o.seed() + 601))
-	if err != nil {
-		return 0, err
-	}
-	link, err := net5g.NewLink(cfg)
+	link, err := newLink(acr, operators.Stationary(o.seed()+601), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -286,15 +278,7 @@ type ExtTransportRow struct {
 func ExtTransport(o Options) ([]ExtTransportRow, error) {
 	var rows []ExtTransportRow
 	for i, acr := range []string{"V_Sp", "O_Sp100", "Vzw_US"} {
-		op, err := operators.ByAcronym(acr)
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := op.LinkConfig(operators.Stationary(o.seed() + 701 + int64(i)*11))
-		if err != nil {
-			return nil, err
-		}
-		link, err := net5g.NewLink(cfg)
+		link, err := newLink(acr, operators.Stationary(o.seed()+701+int64(i)*11), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -333,23 +317,16 @@ type ExtHandoverRow struct {
 // T-Mobile's mid-band deployment under walking and driving — part of the
 // mobility story behind §7's driving degradation.
 func ExtHandover(o Options) ([]ExtHandoverRow, error) {
-	op, err := operators.ByAcronym("Tmb_US")
-	if err != nil {
-		return nil, err
-	}
 	var rows []ExtHandoverRow
 	for _, mob := range []string{"walking", "driving"} {
 		run := func(disable bool) (float64, error) {
-			cfg, err := op.LinkConfig(mobilityScenario(mob, o.seed()+811))
-			if err != nil {
-				return 0, err
-			}
-			if disable {
-				for i := range cfg.Carriers {
-					cfg.Carriers[i].HandoverInterruptionSlots = -1
+			link, err := newLink("Tmb_US", mobilityScenario(mob, o.seed()+811), func(c *net5g.LinkConfig) {
+				if disable {
+					for i := range c.Carriers {
+						c.Carriers[i].HandoverInterruptionSlots = -1
+					}
 				}
-			}
-			link, err := net5g.NewLink(cfg)
+			})
 			if err != nil {
 				return 0, err
 			}

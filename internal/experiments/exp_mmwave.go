@@ -5,6 +5,7 @@ import (
 
 	"github.com/midband5g/midband/internal/analysis"
 	"github.com/midband5g/midband/internal/core"
+	"github.com/midband5g/midband/internal/iperf"
 	"github.com/midband5g/midband/internal/net5g"
 	"github.com/midband5g/midband/internal/operators"
 	"github.com/midband5g/midband/internal/video"
@@ -50,8 +51,8 @@ func measureSec7(acr, mob string, seed int64) (sec7Session, error) {
 	var s sec7Session
 	dlBits := 0.0 // integer-valued, so the sum is exact in any grouping
 	for w := 0; w < sec7Seconds; w++ {
-		res, err := sess.RunIperf(time.Second, net5g.Demand{DL: true}, nil)
-		if err != nil {
+		res := iperf.NewSeries(sess.Link, time.Second)
+		if _, err := sess.RunIperf(time.Second, net5g.Demand{DL: true}, nil, res); err != nil {
 			return sec7Session{}, err
 		}
 		for _, b := range res.DLBitsPerSlot {
@@ -144,15 +145,7 @@ func Fig19Plan(o Options) Plan[Fig19Point, []Fig19Point] {
 		a := arms[i]
 		var nb, sp float64
 		for rep := 0; rep < reps; rep++ {
-			op, err := operators.ByAcronym(a.acr)
-			if err != nil {
-				return Fig19Point{}, err
-			}
-			cfg, err := op.LinkConfig(mobilityScenario(a.mob, o.seed()+a.seedOff+int64(rep)*13))
-			if err != nil {
-				return Fig19Point{}, err
-			}
-			link, err := net5g.NewLink(cfg)
+			link, err := newLink(a.acr, mobilityScenario(a.mob, o.seed()+a.seedOff+int64(rep)*13), nil)
 			if err != nil {
 				return Fig19Point{}, err
 			}

@@ -24,9 +24,9 @@ import (
 // step index exactly. The first record in block order belongs to the
 // first measured step (the fastest carrier ticks every step), which pins
 // the start offset left behind by warm-up.
-func scanTraceSeries(r io.ReaderAt, size int64, slotDur, d time.Duration) (*iperf.Result, error) {
+func scanTraceSeries(r io.ReaderAt, size int64, slotDur, d time.Duration) (*iperf.Series, error) {
 	steps := int(d / slotDur)
-	out := &iperf.Result{
+	out := &iperf.Series{
 		SlotDuration:  slotDur,
 		DLBitsPerSlot: make([]float64, steps),
 		MCS:           make([]float64, steps),
@@ -78,14 +78,14 @@ func scanTraceSeries(r io.ReaderAt, size int64, slotDur, d time.Duration) (*iper
 // TestScanSeriesMatchesDirect pins the trace-reproducibility contract of
 // the variability figures (Figs. 12 and 13): the series rebuilt from a
 // projected scan of the session's captured .xcol trace must equal the
-// in-memory iperf.Result series exactly — not approximately — so what
+// in-memory iperf.Series exactly — not approximately — so what
 // the figures plot is derivable from captured traces alone.
 func TestScanSeriesMatchesDirect(t *testing.T) {
 	const seed = 2024 + 47
 	d := 3 * time.Second
 	demand := net5g.Demand{DL: true}
 
-	direct, err := measure("V_Sp", d, demand, seed)
+	_, direct, err := measure("V_Sp", d, demand, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func Fig02(o Options) ([]Fig02Row, error) {
 		if o.Quick {
 			d = 10 * time.Second
 		}
-		res, err := measure(acr, d, net5g.Demand{DL: true}, o.seed()+int64(i)*11)
+		_, res, err := measure(acr, d, net5g.Demand{DL: true}, o.seed()+int64(i)*11)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ type Fig03Series struct {
 func Fig03(o Options) ([]Fig03Series, error) {
 	var out []Fig03Series
 	for i, acr := range SpainCarriers {
-		res, err := measure(acr, o.sessionSeconds(8), net5g.Demand{DL: true}, o.seed()+int64(i)*13)
+		_, res, err := measure(acr, o.sessionSeconds(8), net5g.Demand{DL: true}, o.seed()+int64(i)*13)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func Fig04(o Options) ([]Fig04Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := measure(acr, o.sessionSeconds(5), net5g.Demand{DL: true}, o.seed()+int64(i)*17)
+		_, res, err := measure(acr, o.sessionSeconds(5), net5g.Demand{DL: true}, o.seed()+int64(i)*17)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +178,7 @@ func Fig05(o Options) ([]Fig05Row, error) {
 		for r := 0; r < reps; r++ {
 			// Pool slots across independent sessions, as the paper's
 			// multi-day shares do.
-			res, err := measure(acr, o.sessionSeconds(15), net5g.Demand{DL: true},
+			_, res, err := measure(acr, o.sessionSeconds(15), net5g.Demand{DL: true},
 				o.seed()+int64(i)*19+int64(r)*7919)
 			if err != nil {
 				return nil, err
@@ -211,7 +211,7 @@ func Fig06(o Options) ([]Fig06Row, error) {
 	for i, acr := range SpainCarriers {
 		var ranks []int
 		for rep := 0; rep < reps; rep++ {
-			res, err := measure(acr, o.sessionSeconds(15), net5g.Demand{DL: true},
+			_, res, err := measure(acr, o.sessionSeconds(15), net5g.Demand{DL: true},
 				o.seed()+int64(i)*23+int64(rep)*7919)
 			if err != nil {
 				return nil, err
@@ -312,7 +312,7 @@ func Fig08(o Options) ([]Fig08Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := measure(acr, o.sessionSeconds(8), net5g.Demand{DL: true}, o.seed()+int64(i)*31)
+		avg, res, err := measure(acr, o.sessionSeconds(8), net5g.Demand{DL: true}, o.seed()+int64(i)*31)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +328,7 @@ func Fig08(o Options) ([]Fig08Row, error) {
 		}
 		rows = append(rows, Fig08Row{
 			Operator:      acr,
-			DLMbps:        res.DLMbps,
+			DLMbps:        avg.DLMbps,
 			BandwidthMHz:  op.PCell().BandwidthMHz,
 			MeanREs:       re / n,
 			MeanRank:      rank / n,

@@ -34,7 +34,7 @@ func Fig09(o Options) ([]Fig09Row, error) {
 		if o.Quick {
 			d = 10 * time.Second
 		}
-		res, err := ulOnlyNR(acr, d, o.seed()+int64(i)*37)
+		res, err := ulOnlyNR(acr, d, o.seed()+int64(i)*37, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -47,30 +47,8 @@ func Fig09(o Options) ([]Fig09Row, error) {
 	return rows, nil
 }
 
-// ulOnlyNRDegraded measures NR-only uplink at a cell-edge position.
-func ulOnlyNRDegraded(acr string, d time.Duration, seed int64) (*iperf.Result, error) {
-	op, err := operators.ByAcronym(acr)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := op.LinkConfig(operators.Stationary(seed))
-	if err != nil {
-		return nil, err
-	}
-	cfg.ULPolicy = lte.ULNROnly
-	cfg.Carriers[0].Channel.SINRBiasDB -= 13
-	link, err := net5g.NewLink(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := iperf.Run(link, iperf.Config{Duration: time.Second}); err != nil {
-		return nil, err
-	}
-	return iperf.Run(link, iperf.Config{Duration: d, Demand: net5g.Saturate})
-}
-
 // ulMbpsWithCQI averages the UL goodput over slots whose CQI matches.
-func ulMbpsWithCQI(res *iperf.Result, keep func(int) bool) float64 {
+func ulMbpsWithCQI(res *iperf.Series, keep func(int) bool) float64 {
 	var bits float64
 	var n int
 	for i, b := range res.ULBitsPerSlot {
@@ -108,14 +86,14 @@ func Fig10(o Options) ([]Fig10Row, error) {
 		d = 10 * time.Second
 	}
 	for i, c := range cases {
-		res, err := ulOnlyNR(c.acr, d, o.seed()+int64(i)*41)
+		res, err := ulOnlyNR(c.acr, d, o.seed()+int64(i)*41, 0)
 		if err != nil {
 			return nil, err
 		}
 		// Good stationary spots rarely report CQI < 10; like the paper's
 		// campaign, the poor-channel box comes from measurements at a
 		// degraded location (cell edge).
-		resPoor, err := ulOnlyNRDegraded(c.acr, d, o.seed()+int64(i)*41+7)
+		resPoor, err := ulOnlyNR(c.acr, d, o.seed()+int64(i)*41+7, -13)
 		if err != nil {
 			return nil, err
 		}
@@ -129,46 +107,28 @@ func Fig10(o Options) ([]Fig10Row, error) {
 	// LTE_US: T-Mobile's anchor measured with the prefer-LTE policy it
 	// actually uses. Good/poor conditioning uses the anchor's own CQI,
 	// which the UL record stream carries via the LTE leg.
-	op, err := operators.ByAcronym("Tmb_US")
+	link, err := newLink("Tmb_US", operators.Stationary(o.seed()+500), func(c *net5g.LinkConfig) { c.ULPolicy = lte.ULPreferLTE })
 	if err != nil {
-		return nil, err
-	}
-	cfg, err := op.LinkConfig(operators.Stationary(o.seed() + 500))
-	if err != nil {
-		return nil, err
-	}
-	cfg.ULPolicy = lte.ULPreferLTE
-	link, err := net5g.NewLink(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := iperf.Run(link, iperf.Config{Duration: time.Second}); err != nil {
 		return nil, err
 	}
 	// Measure good/poor LTE UL by degrading the anchor mid-run is not
 	// meaningful in a stationary scenario; report the overall mean in the
 	// good bucket and a degraded-share estimate in the poor bucket by
 	// re-running with a worse anchor position.
-	res, err := iperf.Run(link, iperf.Config{Duration: d, Demand: net5g.Saturate})
+	res, err := warmRun(link, d)
 	if err != nil {
 		return nil, err
 	}
 	good := res.LTEULMbps
 
-	cfgPoor, err := op.LinkConfig(operators.Stationary(o.seed() + 501))
+	linkPoor, err := newLink("Tmb_US", operators.Stationary(o.seed()+501), func(c *net5g.LinkConfig) {
+		c.ULPolicy = lte.ULPreferLTE
+		c.LTEAnchor.Channel.SINRBiasDB -= 14 // cell-edge anchor
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfgPoor.ULPolicy = lte.ULPreferLTE
-	cfgPoor.LTEAnchor.Channel.SINRBiasDB -= 14 // cell-edge anchor
-	linkPoor, err := net5g.NewLink(cfgPoor)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := iperf.Run(linkPoor, iperf.Config{Duration: time.Second}); err != nil {
-		return nil, err
-	}
-	resPoor, err := iperf.Run(linkPoor, iperf.Config{Duration: d, Demand: net5g.Saturate})
+	resPoor, err := warmRun(linkPoor, d)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func Fig12(o Options) ([]Fig12Series, error) {
 	}
 	var out []Fig12Series
 	for i, acr := range fig12Carriers {
-		res, err := measure(acr, d, net5g.Demand{DL: true}, o.seed()+int64(i)*43)
+		_, res, err := measure(acr, d, net5g.Demand{DL: true}, o.seed()+int64(i)*43)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func Fig13(o Options) (*Fig13Result, error) {
 	if o.Quick {
 		dur = 20
 	}
-	res, err := measure("V_Sp", time.Duration(dur*float64(time.Second)), net5g.Demand{DL: true}, o.seed()+47)
+	_, res, err := measure("V_Sp", time.Duration(dur*float64(time.Second)), net5g.Demand{DL: true}, o.seed()+47)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func Fig14(o Options) ([]Fig14Cell, error) {
 			if !seq {
 				share = 0.5 // two simultaneous UEs split the cell
 			}
-			res, err := measureOp(op, sc, d, net5g.Demand{DL: true, Share: share})
+			avg, res, err := measureOp(op, sc, d, net5g.Demand{DL: true, Share: share})
 			if err != nil {
 				return nil, err
 			}
@@ -170,7 +170,7 @@ func Fig14(o Options) ([]Fig14Cell, error) {
 				Location:   loc.name,
 				DistanceM:  loc.dist,
 				Sequential: seq,
-				DLMbps:     res.DLMbps,
+				DLMbps:     avg.DLMbps,
 				MeanRBs:    rbs / n,
 				VMCS:       vm,
 				VMIMO:      vl,

@@ -103,7 +103,7 @@ func Fig15(o Options) ([]Fig15Point, error) {
 		}
 		// Channel variability over the session, measured on a parallel
 		// full-buffer run of the same channel realization.
-		probe, err := measure(r.acr, o.sessionSeconds(10), net5g.Demand{DL: true}, o.seed()+r.seed*61)
+		probeAvg, probe, err := measure(r.acr, o.sessionSeconds(10), net5g.Demand{DL: true}, o.seed()+r.seed*61)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func Fig15(o Options) ([]Fig15Point, error) {
 		}
 		out = append(out, Fig15Point{
 			Operator:    r.acr,
-			AvgTputMbps: probe.DLMbps,
+			AvgTputMbps: probeAvg.DLMbps,
 			NormBitrate: res.AvgNormBitrate,
 			StallPct:    res.StallPct(),
 			VMCS:        vm,

@@ -97,17 +97,30 @@ func (o Options) sessionSeconds(full float64) time.Duration {
 	return time.Duration(full * float64(time.Second))
 }
 
-// measure runs a stationary full-buffer session for an operator and
-// returns the iperf result.
-func measure(acr string, d time.Duration, demand net5g.Demand, seed int64) (*iperf.Result, error) {
+// measure runs a stationary session for an operator and returns its
+// averages with the per-slot series.
+func measure(acr string, d time.Duration, demand net5g.Demand, seed int64) (*iperf.Result, *iperf.Series, error) {
 	op, err := operators.ByAcronym(acr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return measureOp(op, operators.Stationary(seed), d, demand)
 }
 
-func measureOp(op operators.Operator, sc operators.Scenario, d time.Duration, demand net5g.Demand) (*iperf.Result, error) {
+// measureOp is measure for any operator profile and scenario.
+func measureOp(op operators.Operator, sc operators.Scenario, d time.Duration, demand net5g.Demand) (*iperf.Result, *iperf.Series, error) {
+	sess, err := core.NewSession(op, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	series := iperf.NewSeries(sess.Link, d)
+	res, err := sess.RunIperf(d, demand, nil, series)
+	return res, series, err
+}
+
+// measureAverages is measureOp for callers that read only the session
+// averages: it records no series.
+func measureAverages(op operators.Operator, sc operators.Scenario, d time.Duration, demand net5g.Demand) (*iperf.Result, error) {
 	sess, err := core.NewSession(op, sc)
 	if err != nil {
 		return nil, err
@@ -115,36 +128,61 @@ func measureOp(op operators.Operator, sc operators.Scenario, d time.Duration, de
 	return sess.RunIperf(d, demand, nil)
 }
 
-// ulOnly measures the NR uplink by forcing the NR-only routing policy, as
-// the paper's per-channel UL boxes require.
-func ulOnlyNR(acr string, d time.Duration, seed int64) (*iperf.Result, error) {
+// ulOnlyNR measures the NR uplink by forcing the NR-only routing policy, as
+// the paper's per-channel UL boxes require. A negative biasDB moves the UE
+// toward the cell edge.
+func ulOnlyNR(acr string, d time.Duration, seed int64, biasDB float64) (*iperf.Series, error) {
+	link, err := newLink(acr, operators.Stationary(seed), func(c *net5g.LinkConfig) {
+		c.ULPolicy = lte.ULNROnly
+		c.Carriers[0].Channel.SINRBiasDB += biasDB
+	})
+	if err != nil {
+		return nil, err
+	}
+	series := iperf.NewSeries(link, d)
+	if _, err := warmRun(link, d, series); err != nil {
+		return nil, err
+	}
+	return series, nil
+}
+
+// newLink builds the link of operator acr for scenario sc; edit, when
+// non-nil, adjusts its config first.
+func newLink(acr string, sc operators.Scenario, edit func(*net5g.LinkConfig)) (*net5g.Link, error) {
 	op, err := operators.ByAcronym(acr)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := op.LinkConfig(operators.Stationary(seed))
+	cfg, err := op.LinkConfig(sc)
 	if err != nil {
 		return nil, err
 	}
-	cfg.ULPolicy = lte.ULNROnly
-	link, err := net5g.NewLink(cfg)
-	if err != nil {
-		return nil, err
+	if edit != nil {
+		edit(&cfg)
 	}
-	// Warm-up then measure.
+	return net5g.NewLink(cfg)
+}
+
+// warmRun runs a 1 s warm-up session on a fresh link, then a saturating
+// measurement of duration d with the given observers.
+func warmRun(link *net5g.Link, d time.Duration, obs ...iperf.Observer) (*iperf.Result, error) {
 	if _, err := iperf.Run(link, iperf.Config{Duration: time.Second}); err != nil {
 		return nil, err
 	}
-	return iperf.Run(link, iperf.Config{Duration: d, Demand: net5g.Saturate})
+	return iperf.Run(link, iperf.Config{Duration: d, Demand: net5g.Saturate, Observers: obs})
 }
 
 // measureAvgDL averages the DL throughput over several independent
 // sessions, as the paper's multi-day campaign does — single short windows
 // are dominated by congestion-episode luck.
 func measureAvgDL(acr string, d time.Duration, reps int, seed int64) (float64, error) {
+	op, err := operators.ByAcronym(acr)
+	if err != nil {
+		return 0, err
+	}
 	total := 0.0
 	for r := 0; r < reps; r++ {
-		res, err := measure(acr, d, net5g.Demand{DL: true}, seed+int64(r)*7919)
+		res, err := measureAverages(op, operators.Stationary(seed+int64(r)*7919), d, net5g.Demand{DL: true})
 		if err != nil {
 			return 0, err
 		}

@@ -1,7 +1,10 @@
 // Package iperf drives saturating bulk-transfer workloads over a simulated
-// 5G link, mirroring the paper's iPerf3 measurement sessions (§2). It
-// collects the slot-level KPI series that every throughput figure (Figs.
-// 1–6, 9, 10, 12–14) is computed from.
+// 5G link, mirroring the paper's iPerf3 measurement sessions (§2). Run
+// reports a session's averages. Everything that reads individual steps is
+// an Observer that Run calls once per link step: the Series observer
+// records the slot-level KPI series every throughput figure (Figs. 1–6,
+// 9, 10, 12–14) is computed from, and trace capture (core.Session.RunIperf)
+// is another. A session without observers keeps no per-slot state.
 package iperf
 
 import (
@@ -9,8 +12,15 @@ import (
 	"time"
 
 	"github.com/midband5g/midband/internal/net5g"
-	"github.com/midband5g/midband/internal/xcal"
 )
+
+// Observer watches a session step by step. Run calls Observe once per
+// link step, after the step. The StepResult and everything it points to
+// are rewritten by the next step, so an observer copies what it keeps.
+// An error aborts the session.
+type Observer interface {
+	Observe(r *net5g.StepResult) error
+}
 
 // Config parameterizes one bulk-transfer session.
 type Config struct {
@@ -19,50 +29,25 @@ type Config struct {
 	// Demand is the offered load (defaults to saturating both
 	// directions for a lone UE).
 	Demand net5g.Demand
-	// Trace, when non-nil, receives every slot KPI record. Runs write
-	// the columnar xcol.Writer; tests also pass the row xcal.Writer as
-	// an oracle.
-	Trace xcal.TraceWriter
-	// KeepRecords retains all KPI records in the result (memory-heavy
-	// for long runs; the per-series arrays are usually enough).
-	KeepRecords bool
-	// Discard skips collecting the per-slot series, leaving only the
-	// session averages and Steps in the result. It drops nothing else:
-	// Trace and KeepRecords see every record either way. Warm-up traffic
-	// and campaign sessions, which read only the averages, use it to keep
-	// the slot loop free of series appends; the simulation itself is
-	// unaffected — every slot is stepped identically either way.
+	// Observers are called in order once per step.
+	Observers []Observer
+	// Discard is ignored: a session builds per-slot series only for a
+	// Series observer.
+	//
+	// Deprecated: leave it unset. It remains only for bench/midbench,
+	// its sole setter, and goes with that benchmark's next change.
 	Discard bool
 }
 
-// Result is the outcome of a session. All per-slot series are sampled at
-// the PCell slot duration (τ = 0.5 ms for 30 kHz carriers), the paper's
-// finest analysis granularity.
+// Result is the outcome of a session: its averages, no per-slot data.
 type Result struct {
-	// SlotDuration is the sampling period of the series.
+	// SlotDuration is the link step, the period observers are called at.
 	SlotDuration time.Duration
 	// DLMbps and ULMbps are the session averages (UL includes the LTE
 	// leg; NRULMbps and LTEULMbps split it).
 	DLMbps, ULMbps, NRULMbps, LTEULMbps float64
 	// Steps is how many link steps the session ran.
 	Steps int
-
-	// DLBitsPerSlot and ULBitsPerSlot are aggregate goodput series
-	// across all carriers.
-	DLBitsPerSlot, ULBitsPerSlot []float64
-
-	// PCell DL KPI series (zero-valued on slots with no DL allocation).
-	MCS, Rank, RBs, REs, CQI []float64
-	// SINRdB is the PCell radio series (every slot).
-	SINRdB []float64
-	// Mod256 is 1.0 on slots transmitted with 256QAM, 0 otherwise;
-	// ModOrder is the modulation order (2/4/6/8).
-	Mod256, ModOrder []float64
-	// ACK is 1.0 on slots whose transport block decoded.
-	ACK []float64
-
-	// Records are the raw KPI records when Config.KeepRecords is set.
-	Records []xcal.SlotKPI
 }
 
 // Run executes a session on the link. The link keeps its state, so several
@@ -80,31 +65,6 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("iperf: duration %v shorter than one slot", cfg.Duration)
 	}
 
-	res := &Result{SlotDuration: link.SlotDuration(), Steps: steps}
-	if !cfg.Discard {
-		res.DLBitsPerSlot = make([]float64, 0, steps)
-		res.ULBitsPerSlot = make([]float64, 0, steps)
-		res.MCS = make([]float64, 0, steps)
-		res.Rank = make([]float64, 0, steps)
-		res.RBs = make([]float64, 0, steps)
-		res.REs = make([]float64, 0, steps)
-		res.CQI = make([]float64, 0, steps)
-		res.SINRdB = make([]float64, 0, steps)
-		res.Mod256 = make([]float64, 0, steps)
-		res.ModOrder = make([]float64, 0, steps)
-		res.ACK = make([]float64, 0, steps)
-	}
-
-	var recBuf []xcal.SlotKPI
-	if cfg.Trace != nil || cfg.KeepRecords {
-		// A step yields at most one DL + one UL record per carrier plus
-		// the LTE leg; preallocating keeps the per-step append loop out
-		// of the allocator.
-		recBuf = make([]xcal.SlotKPI, 0, 2*len(link.Carriers())+2)
-	}
-	if cfg.KeepRecords {
-		res.Records = make([]xcal.SlotKPI, 0, 2*steps)
-	}
 	var dlBits, ulBits, nrUL, lteUL float64
 	var r net5g.StepResult // reused: the link rewrites every field per step
 	for i := 0; i < steps; i++ {
@@ -113,70 +73,104 @@ func Run(link *net5g.Link, cfg Config) (*Result, error) {
 		ulBits += float64(r.ULBits)
 		nrUL += float64(r.NRULBits)
 		lteUL += float64(r.LTEULBits)
-		if cfg.Trace != nil || cfg.KeepRecords {
-			recBuf = net5g.KPIRecords(r, recBuf[:0])
-			if cfg.Trace != nil {
-				for j := range recBuf {
-					if err := cfg.Trace.WriteKPI(&recBuf[j]); err != nil {
-						return nil, fmt.Errorf("iperf: writing trace: %w", err)
-					}
-				}
+		for _, o := range cfg.Observers {
+			if err := o.Observe(&r); err != nil {
+				return nil, fmt.Errorf("iperf: %w", err)
 			}
-			if cfg.KeepRecords {
-				res.Records = append(res.Records, recBuf...)
-			}
-		}
-		if cfg.Discard {
-			continue
-		}
-		res.DLBitsPerSlot = append(res.DLBitsPerSlot, float64(r.DLBits))
-		res.ULBitsPerSlot = append(res.ULBitsPerSlot, float64(r.ULBits))
-
-		pc := &r.NR[0]
-		res.SINRdB = append(res.SINRdB, pc.Sample.SINRdB)
-		res.CQI = append(res.CQI, float64(pc.CQI))
-		if pc.DL != nil {
-			res.MCS = append(res.MCS, float64(pc.DL.MCS))
-			res.Rank = append(res.Rank, float64(pc.DL.Rank))
-			res.RBs = append(res.RBs, float64(pc.DL.RBs))
-			res.REs = append(res.REs, float64(pc.DL.REs))
-			mod := pc.DL.Modulation()
-			res.ModOrder = append(res.ModOrder, float64(mod))
-			if mod == 8 {
-				res.Mod256 = append(res.Mod256, 1)
-			} else {
-				res.Mod256 = append(res.Mod256, 0)
-			}
-			if pc.DL.ACK {
-				res.ACK = append(res.ACK, 1)
-			} else {
-				res.ACK = append(res.ACK, 0)
-			}
-		} else {
-			res.MCS = append(res.MCS, 0)
-			res.Rank = append(res.Rank, 0)
-			res.RBs = append(res.RBs, 0)
-			res.REs = append(res.REs, 0)
-			res.ModOrder = append(res.ModOrder, 0)
-			res.Mod256 = append(res.Mod256, 0)
-			res.ACK = append(res.ACK, 1)
 		}
 	}
 	seconds := cfg.Duration.Seconds()
-	res.DLMbps = dlBits / seconds / 1e6
-	res.ULMbps = ulBits / seconds / 1e6
-	res.NRULMbps = nrUL / seconds / 1e6
-	res.LTEULMbps = lteUL / seconds / 1e6
-	return res, nil
+	return &Result{
+		SlotDuration: link.SlotDuration(),
+		Steps:        steps,
+		DLMbps:       dlBits / seconds / 1e6,
+		ULMbps:       ulBits / seconds / 1e6,
+		NRULMbps:     nrUL / seconds / 1e6,
+		LTEULMbps:    lteUL / seconds / 1e6,
+	}, nil
+}
+
+// Series is the Observer that records a session's slot-level KPI series.
+// Every series holds one sample per link step (τ = 0.5 ms for 30 kHz
+// carriers), the paper's finest analysis granularity. Build it with
+// NewSeries; a Series observing several sessions appends them in order.
+type Series struct {
+	// SlotDuration is the sampling period of the series.
+	SlotDuration time.Duration
+
+	// DLBitsPerSlot and ULBitsPerSlot are aggregate goodput series
+	// across all carriers.
+	DLBitsPerSlot, ULBitsPerSlot []float64
+
+	// PCell DL KPI series (zero-valued on slots with no DL allocation).
+	MCS, Rank, RBs, REs, CQI []float64
+	// SINRdB is the PCell radio series (every slot).
+	SINRdB []float64
+	// Mod256 is 1.0 on slots transmitted with 256QAM, 0 otherwise;
+	// ModOrder is the modulation order (2/4/6/8).
+	Mod256, ModOrder []float64
+	// ACK is 1.0 on slots whose transport block decoded.
+	ACK []float64
+}
+
+// NewSeries returns a Series for a session of duration d on link, sized
+// so that its appends never grow.
+func NewSeries(link *net5g.Link, d time.Duration) *Series {
+	slot := link.SlotDuration()
+	steps := max(int(d/slot), 0)
+	series := func() []float64 { return make([]float64, 0, steps) }
+	return &Series{
+		SlotDuration:  slot,
+		DLBitsPerSlot: series(), ULBitsPerSlot: series(),
+		MCS: series(), Rank: series(), RBs: series(), REs: series(), CQI: series(),
+		SINRdB: series(), Mod256: series(), ModOrder: series(), ACK: series(),
+	}
+}
+
+// Observe appends one step to every series.
+func (s *Series) Observe(r *net5g.StepResult) error {
+	s.DLBitsPerSlot = append(s.DLBitsPerSlot, float64(r.DLBits))
+	s.ULBitsPerSlot = append(s.ULBitsPerSlot, float64(r.ULBits))
+
+	pc := &r.NR[0]
+	s.SINRdB = append(s.SINRdB, pc.Sample.SINRdB)
+	s.CQI = append(s.CQI, float64(pc.CQI))
+	if pc.DL != nil {
+		s.MCS = append(s.MCS, float64(pc.DL.MCS))
+		s.Rank = append(s.Rank, float64(pc.DL.Rank))
+		s.RBs = append(s.RBs, float64(pc.DL.RBs))
+		s.REs = append(s.REs, float64(pc.DL.REs))
+		mod := pc.DL.Modulation()
+		s.ModOrder = append(s.ModOrder, float64(mod))
+		if mod == 8 {
+			s.Mod256 = append(s.Mod256, 1)
+		} else {
+			s.Mod256 = append(s.Mod256, 0)
+		}
+		if pc.DL.ACK {
+			s.ACK = append(s.ACK, 1)
+		} else {
+			s.ACK = append(s.ACK, 0)
+		}
+	} else {
+		s.MCS = append(s.MCS, 0)
+		s.Rank = append(s.Rank, 0)
+		s.RBs = append(s.RBs, 0)
+		s.REs = append(s.REs, 0)
+		s.ModOrder = append(s.ModOrder, 0)
+		s.Mod256 = append(s.Mod256, 0)
+		s.ACK = append(s.ACK, 1)
+	}
+	return nil
 }
 
 // FilterByCQI returns the per-slot DL goodput restricted to slots whose CQI
 // satisfies keep — the mechanism behind the paper's "CQI ≥ 12" (good
 // channel) and "CQI < 10" conditioning in Figs. 2 and 10.
-func (r *Result) FilterByCQI(keep func(cqi int) bool) (dlBitsPerSlot []float64) {
-	out := make([]float64, 0, len(r.DLBitsPerSlot))
-	for i, bits := range r.DLBitsPerSlot {
-		if keep(int(r.CQI[i])) {
+func (s *Series) FilterByCQI(keep func(cqi int) bool) (dlBitsPerSlot []float64) {
+	out := make([]float64, 0, len(s.DLBitsPerSlot))
+	for i, bits := range s.DLBitsPerSlot {
+		if keep(int(s.CQI[i])) {
 			out = append(out, bits)
 		}
 	}
@@ -184,7 +178,7 @@ func (r *Result) FilterByCQI(keep func(cqi int) bool) (dlBitsPerSlot []float64) 
 }
 
 // MbpsOf converts a bits-per-slot series average into Mbps.
-func (r *Result) MbpsOf(bitsPerSlot []float64) float64 {
+func (s *Series) MbpsOf(bitsPerSlot []float64) float64 {
 	if len(bitsPerSlot) == 0 {
 		return 0
 	}
@@ -192,15 +186,15 @@ func (r *Result) MbpsOf(bitsPerSlot []float64) float64 {
 	for _, b := range bitsPerSlot {
 		total += b
 	}
-	return total / float64(len(bitsPerSlot)) / r.SlotDuration.Seconds() / 1e6
+	return total / float64(len(bitsPerSlot)) / s.SlotDuration.Seconds() / 1e6
 }
 
 // ThroughputMbpsSeries returns the DL goodput series converted to Mbps at
 // slot granularity.
-func (r *Result) ThroughputMbpsSeries() []float64 {
-	out := make([]float64, len(r.DLBitsPerSlot))
-	scale := 1 / r.SlotDuration.Seconds() / 1e6
-	for i, b := range r.DLBitsPerSlot {
+func (s *Series) ThroughputMbpsSeries() []float64 {
+	out := make([]float64, len(s.DLBitsPerSlot))
+	scale := 1 / s.SlotDuration.Seconds() / 1e6
+	for i, b := range s.DLBitsPerSlot {
 		out[i] = b * scale
 	}
 	return out
@@ -209,10 +203,10 @@ func (r *Result) ThroughputMbpsSeries() []float64 {
 // FilterDL restricts a PCell-aligned per-slot series (MCS, Rank, ...) to
 // DL-scheduled slots, mirroring how the paper's per-slot parameter series
 // only exist where a DCI scheduled data.
-func (r *Result) FilterDL(series []float64) []float64 {
+func (s *Series) FilterDL(series []float64) []float64 {
 	out := make([]float64, 0, len(series))
 	for i, v := range series {
-		if i < len(r.RBs) && r.RBs[i] > 0 {
+		if i < len(s.RBs) && s.RBs[i] > 0 {
 			out = append(out, v)
 		}
 	}
@@ -225,11 +219,11 @@ func (r *Result) FilterDL(series []float64) []float64 {
 // rank moves — which is what the paper's multi-scale variability figures
 // characterize (the fixed frame structure would otherwise dominate V(t) at
 // scales near the TDD period).
-func (r *Result) DLThroughputProcess() []float64 {
-	out := make([]float64, 0, len(r.DLBitsPerSlot))
-	scale := 1 / r.SlotDuration.Seconds() / 1e6
-	for i, b := range r.DLBitsPerSlot {
-		if r.RBs[i] > 0 {
+func (s *Series) DLThroughputProcess() []float64 {
+	out := make([]float64, 0, len(s.DLBitsPerSlot))
+	scale := 1 / s.SlotDuration.Seconds() / 1e6
+	for i, b := range s.DLBitsPerSlot {
+		if s.RBs[i] > 0 {
 			out = append(out, b*scale)
 		}
 	}

@@ -58,9 +58,14 @@ type Link = net5g.Link
 // Demand is offered load for a link step.
 type Demand = net5g.Demand
 
-// IperfResult is the outcome of a bulk-transfer session, including the
-// slot-level KPI series (throughput, MCS, rank, RBs, CQI, SINR, RSRQ).
-type IperfResult = iperf.Result
+// IperfResult is the outcome of a bulk-transfer session: the session
+// averages and the slot-level KPI series (throughput, MCS, rank, RBs,
+// CQI, SINR).
+type IperfResult struct {
+	*iperf.Result
+	*iperf.Series
+	SlotDuration time.Duration // the series' sampling period, which both carry
+}
 
 // VideoSession configures a DASH streaming session.
 type VideoSession = video.SessionConfig
@@ -127,7 +132,12 @@ func NewSession(op Operator, sc Scenario) (*Session, error) {
 // RunIperf saturates the link's downlink and uplink for the given duration
 // and returns the measured result with its slot-level KPI series.
 func RunIperf(link *Link, d time.Duration) (*IperfResult, error) {
-	return iperf.Run(link, iperf.Config{Duration: d})
+	series := iperf.NewSeries(link, d)
+	res, err := iperf.Run(link, iperf.Config{Duration: d, Observers: []iperf.Observer{series}})
+	if err != nil {
+		return nil, err
+	}
+	return &IperfResult{Result: res, Series: series, SlotDuration: res.SlotDuration}, nil
 }
 
 // StreamVideo plays a DASH session over the link and leaves the link at
